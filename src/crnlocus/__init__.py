@@ -40,7 +40,6 @@ from .equiv import (
     d0_basis,
     edge_vector_from_json,
     is_dynamically_equivalent,
-    is_flux_equivalent,
     j0_basis,
     mass_action_rhs,
     net_vectors,

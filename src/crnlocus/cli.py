@@ -36,7 +36,6 @@ from .equiv import (
     d0_basis,
     edge_vector_from_json,
     is_dynamically_equivalent,
-    is_flux_equivalent,
     j0_basis,
 )
 from .jsonutil import rationals_from_json
@@ -207,8 +206,7 @@ def _cmd_check(args: argparse.Namespace, config: RunConfig) -> int:
         w = _load_vector(files[1], g)
         g2 = _load_graph(files[2])
         w2 = _load_vector(files[3], g2)
-        fn = is_dynamically_equivalent if variant == "de" else is_flux_equivalent
-        verdict = fn(g, w, g2, w2)
+        verdict = is_dynamically_equivalent(g, w, g2, w2)
     elif variant == "cb-flux":
         if len(files) != 2:
             raise _CliError(EXIT_VALIDATION, "check cb-flux needs GRAPH VEC")

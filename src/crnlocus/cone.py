@@ -13,16 +13,23 @@ vector orthogonal to the subspace.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .egraph import EGraph, NotWeaklyReversibleError, is_weakly_reversible
-from .equiv import EdgeVector, balance_matrix, realize_with_diagnostic, restrict_to_kernel
+from .equiv import (
+    EdgeVector,
+    balance_matrix,
+    j0_basis,
+    per_vertex_kernel,
+    realize_with_diagnostic,
+    restrict_to_kernel,
+)
 from .exactla import (
     RationalMatrix,
     Subspace,
     Vec,
+    combine,
     dot,
     kernel_basis,
     subspace_from_span,
@@ -145,14 +152,10 @@ def positive_point(s: Subspace) -> PositivityResult:
     value, u, y = _phase1_simplex(rows, nvars)
     if value == 0:
         coeffs = tuple(u[j] - u[m + j] for j in range(m))
-        point = [_ZERO] * d
-        for j, b in enumerate(s.basis):
-            if coeffs[j]:
-                for i in range(d):
-                    point[i] += coeffs[j] * b[i]
+        point = combine(coeffs, s.basis, d)
         if any(p < 1 for p in point):
             raise RuntimeError("simplex returned an invalid feasible point")
-        return PositivityResult(feasible=True, point=tuple(point), coefficients=coeffs)
+        return PositivityResult(feasible=True, point=point, coefficients=coeffs)
     cert = tuple(y)
     if any(c < 0 for c in cert) or all(c == 0 for c in cert):
         raise RuntimeError("simplex infeasibility certificate is not nonnegative/nonzero")
@@ -174,44 +177,14 @@ def is_complex_balanced_flux(g: EGraph, j: EdgeVector) -> bool:
     return all(x == 0 for x in balance_matrix(g).matvec(j.values))
 
 
-def _out_span_complement(g: EGraph, vi: int) -> list[Vec]:
-    """Basis of the orthogonal complement of g's outgoing directions at vertex vi."""
-    out = g.out_edges[vi]
-    if not out:
-        return [tuple(_ONE if r == i else _ZERO for r in range(g.n)) for i in range(g.n)]
-    span_t = RationalMatrix.from_rows([g.reaction_vectors[ei] for ei in out], cols=g.n)
-    return list(kernel_basis(span_t).basis)
-
-
-def _jr_vertex_rows(g1: EGraph, g: EGraph, vi: int) -> list[Vec]:
-    """Realizability rows for g1's vertex vi, over the columns of E(g1).
-
-    Shared vertices constrain the local net vector to the span of g's
-    outgoing directions (one row per complement direction); vertices
-    absent from g force the local net vector to zero (n rows).
-    """
-    coords = g1.vertices[vi]
-    out = g1.out_edges[vi]
-    if not out:
-        return []
-    gi = g.coord_index.get(coords)
-    if gi is None:
-        normals: list[Vec] = [
-            tuple(_ONE if r == i else _ZERO for r in range(g1.n)) for i in range(g1.n)
-        ]
-    else:
-        normals = _out_span_complement(g, gi)
-    rows = []
-    for c in normals:
-        row = [_ZERO] * g1.num_edges
-        for ei in out:
-            row[ei] = dot(c, g1.reaction_vectors[ei])
-        rows.append(tuple(row))
-    return rows
-
-
 def _jr_tilde(g1: EGraph, g: EGraph) -> tuple[Subspace, bool]:
-    """The linear subspace underlying the cone, plus a balance-only flag."""
+    """The linear subspace underlying the cone, plus a balance-only flag.
+
+    At each source vertex of g1 the local net vector must vanish when the
+    vertex is absent from g or has no out-edges there, and otherwise lie
+    in the span of g's outgoing directions, i.e. be orthogonal to the
+    complement of that span.
+    """
     if g1.n != g.n:
         raise ValueError(f"ambient dimensions differ: {g1.n} vs {g.n}")
     if not is_weakly_reversible(g1):
@@ -220,30 +193,19 @@ def _jr_tilde(g1: EGraph, g: EGraph) -> tuple[Subspace, bool]:
             "a non-weakly-reversible graph admits no positive balanced flux"
         )
     vectors: list[Vec] = []
-    balance_only = True
     for vi in range(g1.num_vertices):
-        out = g1.out_edges[vi]
-        if not out:
+        if not g1.out_edges[vi]:
             continue
-        rows = _jr_vertex_rows(g1, g, vi)
-        nonzero_rows = [r for r in rows if any(x != 0 for x in r)]
-        if nonzero_rows:
-            balance_only = False
-            local = RationalMatrix.from_rows(
-                [[r[ei] for ei in out] for r in nonzero_rows], cols=len(out)
+        gi = g.coord_index.get(g1.vertices[vi])
+        normals = None
+        if gi is not None and g.out_edges[gi]:
+            out_span = RationalMatrix.from_rows(
+                [g.reaction_vectors[ei] for ei in g.out_edges[gi]], cols=g.n
             )
-            local_kernel = kernel_basis(local).basis
-        else:
-            local_kernel = [
-                tuple(_ONE if p == q else _ZERO for p in range(len(out)))
-                for q in range(len(out))
-            ]
-        for kv in local_kernel:
-            v = [_ZERO] * g1.num_edges
-            for pos, ei in enumerate(out):
-                v[ei] = kv[pos]
-            vectors.append(tuple(v))
+            normals = kernel_basis(out_span).basis
+        vectors.extend(per_vertex_kernel(g1, vi, normals))
     per_vertex = subspace_from_span(vectors, g1.num_edges)
+    balance_only = per_vertex.dim == g1.num_edges
     return restrict_to_kernel(per_vertex, balance_matrix(g1)), balance_only
 
 
@@ -320,9 +282,6 @@ class ConeResult:
             "witness": rationals_to_json(self.witness.values) if self.witness else None,
         }
 
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.to_json_dict(), indent=indent)
-
 
 def membership_failure(g1: EGraph, g: EGraph, j: EdgeVector) -> str | None:
     """None for cone members, else the first violated defining condition."""
@@ -383,8 +342,6 @@ def hat_jr_dimension(g1: EGraph, g: EGraph) -> int:
     equality is asserted because its failure would indicate a
     constraint-assembly bug.
     """
-    from .equiv import j0_basis
-
     result = jr_dimension(g1, g)
     if result.status == "empty":
         raise ValueError("the extended cone dimension is defined for nonempty cones")

@@ -17,7 +17,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .exactla import RationalMatrix, Rat, Vec, rank, vec
 from .jsonutil import compact_dumps, rational_from_json, rationals_to_json
@@ -122,12 +122,6 @@ class EGraph:
     def coord_index(self) -> dict[Vec, int]:
         return {v: i for i, v in enumerate(self.vertices)}
 
-    def edge_index(self, s: int, t: int) -> int:
-        for idx, e in enumerate(self.edges):
-            if e == (s, t):
-                return idx
-        raise KeyError(f"no edge ({s},{t})")
-
     def has_integer_coordinates(self) -> bool:
         return all(c.denominator == 1 for v in self.vertices for c in v)
 
@@ -213,40 +207,50 @@ def linkage_classes(g: EGraph) -> list[list[int]]:
 
 
 def strongly_connected_components(g: EGraph) -> list[list[int]]:
-    """Tarjan's algorithm; components sorted, ordered by smallest member."""
+    """Tarjan's algorithm without recursion, so long cycles cannot exhaust
+    the call stack; components sorted, ordered by smallest member."""
     index_of: dict[int, int] = {}
     lowlink: dict[int, int] = {}
     on_stack: set[int] = set()
     stack: list[int] = []
-    counter = iter(range(g.num_vertices + 1))
     components: list[list[int]] = []
     succ: list[list[int]] = [[] for _ in g.vertices]
     for s, t in g.edges:
         succ[s].append(t)
+    frames: list[tuple[int, Iterator[int]]] = []
 
-    def strongconnect(v: int) -> None:
-        index_of[v] = lowlink[v] = next(counter)
+    def enter(v: int) -> None:
+        index_of[v] = lowlink[v] = len(index_of)
         stack.append(v)
         on_stack.add(v)
-        for w in succ[v]:
-            if w not in index_of:
-                strongconnect(w)
-                lowlink[v] = min(lowlink[v], lowlink[w])
-            elif w in on_stack:
-                lowlink[v] = min(lowlink[v], index_of[w])
-        if lowlink[v] == index_of[v]:
-            comp = []
-            while True:
-                w = stack.pop()
-                on_stack.discard(w)
-                comp.append(w)
-                if w == v:
-                    break
-            components.append(sorted(comp))
+        frames.append((v, iter(succ[v])))
 
-    for v in range(g.num_vertices):
-        if v not in index_of:
-            strongconnect(v)
+    for root in range(g.num_vertices):
+        if root in index_of:
+            continue
+        enter(root)
+        while frames:
+            v, successors = frames[-1]
+            for w in successors:
+                if w not in index_of:
+                    enter(w)
+                    break
+                if w in on_stack:
+                    lowlink[v] = min(lowlink[v], index_of[w])
+            else:
+                frames.pop()
+                if frames:
+                    parent = frames[-1][0]
+                    lowlink[parent] = min(lowlink[parent], lowlink[v])
+                if lowlink[v] == index_of[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack.discard(w)
+                        comp.append(w)
+                        if w == v:
+                            break
+                    components.append(sorted(comp))
     return sorted(components)
 
 
@@ -300,8 +304,23 @@ def _mask_is_weakly_reversible(g: EGraph, mask: int) -> bool:
     return all(reach[t] & (1 << s) for s, t in sub_edges)
 
 
-def iter_wr_edge_masks(g: EGraph, cap: int | None = None) -> Iterator[int]:
-    """Ascending bitmasks of the nonempty weakly reversible edge subsets of g."""
+def _masks_by_size(m: int) -> Iterator[int]:
+    """All nonzero masks below 2^m, ascending within each popcount (Gosper)."""
+    limit = 1 << m
+    for count in range(1, m + 1):
+        mask = (1 << count) - 1
+        while mask < limit:
+            yield mask
+            lo = mask & -mask
+            lz = mask + lo
+            mask = lz | (((mask ^ lz) // lo) >> 2)
+
+
+def _wr_masks(g: EGraph, candidates: Iterable[int], cap: int | None) -> Iterator[int]:
+    """The weakly reversible masks among ``candidates``, at most ``cap`` of them.
+
+    Without a cap, graphs past the edge limit raise EnumerationLimitError.
+    """
     m = g.num_edges
     if cap is None and m > WR_ENUMERATION_EDGE_LIMIT:
         raise EnumerationLimitError(
@@ -309,12 +328,22 @@ def iter_wr_edge_masks(g: EGraph, cap: int | None = None) -> Iterator[int]:
             f"{WR_ENUMERATION_EDGE_LIMIT}; pass a cap to enumerate anyway"
         )
     yielded = 0
-    for mask in range(1, 1 << m):
+    for mask in candidates:
         if _mask_is_weakly_reversible(g, mask):
             yield mask
             yielded += 1
             if cap is not None and yielded >= cap:
                 return
+
+
+def iter_wr_edge_masks(g: EGraph, cap: int | None = None) -> Iterator[int]:
+    """Ascending bitmasks of the nonempty weakly reversible edge subsets of g."""
+    return _wr_masks(g, range(1, 1 << g.num_edges), cap)
+
+
+def wr_masks_by_size(g: EGraph, cap: int | None = None) -> Iterator[int]:
+    """The same masks as ``iter_wr_edge_masks``, ordered by edge count, then value."""
+    return _wr_masks(g, _masks_by_size(g.num_edges), cap)
 
 
 def enumerate_wr_subgraphs(g: EGraph, cap: int | None = None) -> Iterator[EGraph]:
@@ -332,10 +361,3 @@ def stoich_dim(g: EGraph) -> int:
     if not g.edges:
         return 0
     return rank(RationalMatrix.from_rows(g.reaction_vectors))
-
-
-def stoich_subspace_basis(g: EGraph) -> list[Vec]:
-    """A canonical basis of the stoichiometric subspace."""
-    from .exactla import subspace_from_span
-
-    return list(subspace_from_span(g.reaction_vectors, g.n).basis)

@@ -20,6 +20,8 @@ from .exactla import (
     Rat,
     Subspace,
     Vec,
+    combine,
+    dot,
     frac,
     kernel_basis,
     solve_particular,
@@ -29,6 +31,7 @@ from .exactla import (
 from .jsonutil import rationals_from_json, rationals_to_json
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 class VectorGraphMismatchError(ValueError):
@@ -114,11 +117,6 @@ def is_dynamically_equivalent(g: EGraph, k: EdgeVector, g2: EGraph, k2: EdgeVect
     return _nets_agree(net_vectors(g, k), net_vectors(g2, k2), g.n)
 
 
-def is_flux_equivalent(g: EGraph, j: EdgeVector, g2: EGraph, j2: EdgeVector) -> bool:
-    """Flux equivalence: the same per-vertex net condition, with flux weights."""
-    return is_dynamically_equivalent(g, j, g2, j2)
-
-
 def state_power(x: Sequence, y: Vec, exact: bool) -> Fraction | float:
     """x**y componentwise product; exact only for integer exponents."""
     if exact:
@@ -196,16 +194,29 @@ def balance_matrix(g: EGraph) -> RationalMatrix:
     return RationalMatrix.from_rows(rows, cols=g.num_edges)
 
 
-def _per_vertex_kernel(g: EGraph, vi: int) -> list[Vec]:
-    """Basis of the weightings on vi's out-edges with zero net vector."""
+def _local_rows(g: EGraph, vi: int, normals: Sequence[Vec] | None = None) -> list[list[Fraction]]:
+    """Rows over vi's out-edges: the reaction-vector coordinates, or their
+    dot products with each normal."""
+    rvs = [g.reaction_vectors[ei] for ei in g.out_edges[vi]]
+    if normals is None:
+        return [[rv[r] for rv in rvs] for r in range(g.n)]
+    return [[dot(c, rv) for rv in rvs] for c in normals]
+
+
+def per_vertex_kernel(g: EGraph, vi: int, normals: Sequence[Vec] | None = None) -> list[Vec]:
+    """Basis of the weightings on vi's out-edges whose net vector is
+    orthogonal to ``normals`` (zero when ``normals`` is None), embedded in
+    the edge space of g.
+
+    Zero local rows are dropped; when none remain, every weighting
+    qualifies and the unit vectors are returned without elimination.
+    """
     out = g.out_edges[vi]
-    if not out:
-        return []
-    local = RationalMatrix.from_rows(
-        [[g.reaction_vectors[ei][r] for ei in out] for r in range(g.n)], cols=len(out)
-    )
+    rows = [r for r in _local_rows(g, vi, normals) if any(r)]
+    if not rows:
+        return [tuple(_ONE if e == ei else _ZERO for e in range(g.num_edges)) for ei in out]
     basis = []
-    for kv in kernel_basis(local).basis:
+    for kv in kernel_basis(RationalMatrix.from_rows(rows, cols=len(out))).basis:
         v = [_ZERO] * g.num_edges
         for pos, ei in enumerate(out):
             v[ei] = kv[pos]
@@ -221,7 +232,7 @@ def d0_basis(g: EGraph) -> Subspace:
     """
     vectors: list[Vec] = []
     for vi in range(g.num_vertices):
-        vectors.extend(_per_vertex_kernel(g, vi))
+        vectors.extend(per_vertex_kernel(g, vi))
     return subspace_from_span(vectors, g.num_edges)
 
 
@@ -235,15 +246,7 @@ def restrict_to_kernel(sub: Subspace, constraints: RationalMatrix) -> Subspace:
         cols=len(cols),
     )
     combos = kernel_basis(reduced)
-    vectors = []
-    for t in combos.basis:
-        v = [_ZERO] * sub.ambient
-        for coeff, b in zip(t, sub.basis):
-            if coeff:
-                for j, x in enumerate(b):
-                    if x:
-                        v[j] += coeff * x
-        vectors.append(tuple(v))
+    vectors = [combine(t, sub.basis, sub.ambient) for t in combos.basis]
     return subspace_from_span(vectors, sub.ambient)
 
 
@@ -271,10 +274,7 @@ def realize_with_diagnostic(
             if target != zero:
                 return None, coords
             continue
-        local = RationalMatrix.from_rows(
-            [[g_tgt.reaction_vectors[ei][r] for ei in out] for r in range(g_src.n)],
-            cols=len(out),
-        )
+        local = RationalMatrix.from_rows(_local_rows(g_tgt, vi), cols=len(out))
         sol = solve_particular(local, target)
         if sol is None:
             return None, coords
@@ -293,11 +293,3 @@ def realize_on(g_src: EGraph, w_src: EdgeVector, g_tgt: EGraph) -> EdgeVector | 
     """
     realized, _ = realize_with_diagnostic(g_src, w_src, g_tgt)
     return realized
-
-
-def d0_span_contains(g: EGraph, d: Sequence[Rat]) -> bool:
-    return d0_basis(g).contains(vec(d))
-
-
-def j0_span_contains(g: EGraph, d: Sequence[Rat]) -> bool:
-    return j0_basis(g).contains(vec(d))

@@ -84,12 +84,6 @@ class RationalMatrix:
     def row_list(self) -> list[list[Fraction]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
-    def transpose(self) -> "RationalMatrix":
-        return RationalMatrix.from_rows(
-            [[self.entries[i * self.cols + j] for i in range(self.rows)] for j in range(self.cols)],
-            cols=self.rows,
-        )
-
     def matvec(self, x: Sequence[Fraction]) -> Vec:
         if len(x) != self.cols:
             raise ValueError("matvec dimension mismatch")

@@ -24,13 +24,11 @@ from typing import Sequence
 from .cone import ConeResult, jr_dimension, membership_failure
 from .egraph import (
     EGraph,
-    WR_ENUMERATION_EDGE_LIMIT,
-    EnumerationLimitError,
-    _mask_is_weakly_reversible,
     complete_graph,
     edge_subgraph,
     is_weakly_reversible,
     stoich_dim,
+    wr_masks_by_size,
 )
 from .equiv import (
     EdgeVector,
@@ -38,12 +36,11 @@ from .equiv import (
     is_dynamically_equivalent,
     j0_basis,
     realize_on,
+    state_power,
 )
-from .exactla import Rat, Vec, coords_in_basis, orthogonalize, subspace_from_span, vec
+from .exactla import Rat, Vec, combine, coords_in_basis, orthogonalize, subspace_from_span, vec
 from .jsonutil import rationals_to_json
 from .toric import SteadyState, birch_point, is_toric
-
-_ZERO = Fraction(0)
 
 
 class PsiDomainError(ValueError):
@@ -84,18 +81,11 @@ class PsiOutput:
         }
 
 
-def _power_state(x: Sequence[Fraction], y: Vec, exact: bool) -> Fraction:
-    if exact:
-        out = Fraction(1)
-        for xi, yi in zip(x, y):
-            e = int(yi)
-            if e:
-                out *= xi**e
-        return out
-    out_f = 1.0
-    for xi, yi in zip(x, y):
-        out_f *= float(xi) ** float(yi)
-    return Fraction(out_f)
+def _shift_to_coords(values: Sequence[Fraction], basis: Sequence[Vec], targets: Vec) -> Vec:
+    """Shift ``values`` along the pairwise-orthogonal ``basis`` until its
+    coordinates against that basis equal ``targets``."""
+    deltas = [t - c for t, c in zip(targets, coords_in_basis(values, basis))]
+    return tuple(a + b for a, b in zip(values, combine(deltas, basis, len(values))))
 
 
 def _validate_state(g: EGraph, x: Sequence[Rat], what: str) -> tuple[Fraction, ...]:
@@ -143,23 +133,14 @@ def psi_map(
     k1 = EdgeVector(
         g1,
         [
-            j.values[ei] / _power_state(xs, g1.vertices[g1.edges[ei][0]], exact)
+            j.values[ei] / Fraction(state_power(xs, g1.vertices[g1.edges[ei][0]], exact))
             for ei in range(g1.num_edges)
         ],
     )
     k_part = realize_on(g1, k1, g)
     if k_part is None:
         raise PsiDomainError("internal: cone member failed to realize at the given state")
-    values = list(k_part.values)
-    if b_basis:
-        cs = coords_in_basis(values, b_basis)
-        for target, current, basis_vec in zip(ps, cs, b_basis):
-            delta = target - current
-            if delta:
-                for idx, bv in enumerate(basis_vec):
-                    if bv:
-                        values[idx] += delta * bv
-    k = EdgeVector(g, values)
+    k = EdgeVector(g, _shift_to_coords(k_part.values, b_basis, ps))
     q = coords_in_basis(j.values, canonical_j0_obasis(g1))
     return PsiOutput(k=k, q=q, mode="exact" if exact else "approximate")
 
@@ -211,30 +192,20 @@ def psi_hat_inverse(
     x = birch_point(g1, decision.witness.x, x0s)
     exact = x.mode == "exact"
     xs = vec(x.x) if exact else tuple(Fraction(float(v)) for v in x.x)
-    j1 = EdgeVector(
-        g1,
-        [
-            k1.values[ei] * _power_state(xs, g1.vertices[g1.edges[ei][0]], exact and g1.has_integer_coordinates())
-            for ei in range(g1.num_edges)
-        ],
-    )
+    power_exact = exact and g1.has_integer_coordinates()
+    j1 = [
+        k1.values[ei] * Fraction(state_power(xs, g1.vertices[g1.edges[ei][0]], power_exact))
+        for ei in range(g1.num_edges)
+    ]
     a_basis = canonical_j0_obasis(g1)
     qh = vec(q_hat)
     if len(qh) != len(a_basis):
         raise PsiDomainError(
             f"q_hat has length {len(qh)}, dim J0 is {len(a_basis)}"
         )
-    values = list(j1.values)
-    if a_basis:
-        cs = coords_in_basis(values, a_basis)
-        for target, current, basis_vec in zip(qh, cs, a_basis):
-            delta = target - current
-            if delta:
-                for idx, bv in enumerate(basis_vec):
-                    if bv:
-                        values[idx] += delta * bv
+    j_hat = EdgeVector(g1, _shift_to_coords(j1, a_basis, qh))
     p = coords_in_basis(k.values, canonical_d0_obasis(g))
-    return PsiPreimage(j_hat=EdgeVector(g1, values), x=x, p=p)
+    return PsiPreimage(j_hat=j_hat, x=x, p=p)
 
 
 @dataclass(frozen=True)
@@ -364,18 +335,6 @@ class GlobalBoundResult:
         }
 
 
-def _masks_by_popcount(m: int):
-    """All nonzero masks below 2^m, ascending within each popcount (Gosper)."""
-    for count in range(1, m + 1):
-        mask = (1 << count) - 1
-        limit = 1 << m
-        while mask < limit:
-            yield mask
-            lo = mask & -mask
-            lz = mask + lo
-            mask = lz | (((mask ^ lz) // lo) >> 2)
-
-
 def global_lower_bound(g: EGraph, cap: int | None = None) -> GlobalBoundResult:
     """Maximize the capped pair bound over weakly reversible subgraphs of g's
     complete graph.
@@ -387,11 +346,6 @@ def global_lower_bound(g: EGraph, cap: int | None = None) -> GlobalBoundResult:
     number of weakly reversible subgraphs examined.
     """
     gc = complete_graph(g)
-    if cap is None and gc.num_edges > WR_ENUMERATION_EDGE_LIMIT:
-        raise EnumerationLimitError(
-            f"complete graph has {gc.num_edges} edges, beyond the enumeration "
-            f"limit of {WR_ENUMERATION_EDGE_LIMIT}; pass a cap"
-        )
     best: BoundReport | None = None
     best_mask: int | None = None
     best_sub: EGraph | None = None
@@ -399,9 +353,8 @@ def global_lower_bound(g: EGraph, cap: int | None = None) -> GlobalBoundResult:
     examined = 0
     exhausted = True
     target = g.num_edges
-    for mask in _masks_by_popcount(gc.num_edges):
-        if not _mask_is_weakly_reversible(gc, mask):
-            continue
+    # One mask beyond the cap tells whether the scan was cut short.
+    for mask in wr_masks_by_size(gc, None if cap is None else cap + 1):
         if cap is not None and examined >= cap:
             exhausted = False
             break

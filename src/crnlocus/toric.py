@@ -12,7 +12,6 @@ the corresponding product of tree-constant ratios must equal one.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -112,9 +111,6 @@ class SteadyState:
         else:
             xs = [float(v) for v in self.x]
         return {"mode": self.mode, "x": xs, "residual": self.residual}
-
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.to_json_dict(), indent=indent)
 
 
 @dataclass(frozen=True)

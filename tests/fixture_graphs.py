@@ -61,3 +61,8 @@ def dependency_vectors(g) -> dict[str, list[Fraction]]:
         "v3": mk({(2, 1): 1, (2, 3): 1, (2, 0): -1}),
         "v4": mk({(3, 0): 1, (3, 2): 1, (3, 1): -1}),
     }
+
+
+def g_long_cycle(m: int = 1500) -> EGraph:
+    """A directed m-cycle on the line; its Tarjan search path is m vertices deep."""
+    return EGraph(1, [(i,) for i in range(m)], [(i, (i + 1) % m) for i in range(m)])

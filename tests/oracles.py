@@ -31,17 +31,44 @@ def reachability_weakly_reversible(g: EGraph) -> bool:
     return all(reach[t][s] for s, t in g.edges)
 
 
+def reachability_components(g: EGraph) -> list[list[int]]:
+    """Classes of mutually reachable vertices, each sorted, ordered by smallest member."""
+    succ = [[] for _ in g.vertices]
+    for s, t in g.edges:
+        succ[s].append(t)
+    reach = []
+    for v in range(g.num_vertices):
+        seen, todo = {v}, [v]
+        while todo:
+            for w in succ[todo.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    todo.append(w)
+        reach.append(seen)
+    classes = {tuple(sorted(u for u in reach[v] if v in reach[u])) for v in range(g.num_vertices)}
+    return [list(c) for c in sorted(classes)]
+
+
+def _mask_wr_by_reachability(g: EGraph, mask: int) -> bool:
+    sub_edges = [g.edges[i] for i in range(g.num_edges) if mask >> i & 1]
+    touched = sorted({v for e in sub_edges for v in e})
+    remap = {v: i for i, v in enumerate(touched)}
+    sub = EGraph(g.n, [g.vertices[v] for v in touched],
+                 [(remap[s], remap[t]) for s, t in sub_edges])
+    return reachability_weakly_reversible(sub)
+
+
 def brute_wr_edge_masks(g: EGraph) -> list[int]:
     """Filter every nonempty edge subset with the reachability oracle."""
+    return [mask for mask in range(1, 1 << g.num_edges) if _mask_wr_by_reachability(g, mask)]
+
+
+def brute_wr_masks_up_to_size(g: EGraph, size: int) -> list[int]:
+    """Weakly reversible edge subsets of at most ``size`` edges, by (edge count, mask)."""
     out = []
-    for mask in range(1, 1 << g.num_edges):
-        sub_edges = [g.edges[i] for i in range(g.num_edges) if mask >> i & 1]
-        touched = sorted({v for e in sub_edges for v in e})
-        remap = {v: i for i, v in enumerate(touched)}
-        sub = EGraph(g.n, [g.vertices[v] for v in touched],
-                     [(remap[s], remap[t]) for s, t in sub_edges])
-        if reachability_weakly_reversible(sub):
-            out.append(mask)
+    for k in range(1, size + 1):
+        masks = sorted(sum(1 << i for i in c) for c in itertools.combinations(range(g.num_edges), k))
+        out += [mask for mask in masks if _mask_wr_by_reachability(g, mask)]
     return out
 
 

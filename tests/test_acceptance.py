@@ -18,7 +18,6 @@ from crnlocus import (
     d0_basis,
     global_lower_bound,
     is_dynamically_equivalent,
-    is_flux_equivalent,
     is_member_jr,
     is_weakly_reversible,
     j0_basis,
@@ -170,7 +169,7 @@ def test_criterion_3_kernel_shift_equivalence_suites():
         else:
             d = tuple(random_positive_rational(rng) - 1 for _ in range(g.num_edges))
         j2 = EdgeVector(g, [a + b for a, b in zip(j.values, d)])
-        _check(failures, is_flux_equivalent(g, j, g, j2) == d0.contains(d),
+        _check(failures, is_dynamically_equivalent(g, j, g, j2) == d0.contains(d),
                f"flux trial {fe_trials}: equivalence/membership mismatch")
         fe_trials += 1
 
@@ -195,7 +194,7 @@ def test_criterion_3_kernel_shift_equivalence_suites():
 
         ja, jb = balanced_flux(), balanced_flux()
         diff = [a - b for a, b in zip(jb.values, ja.values)]
-        _check(failures, is_flux_equivalent(g, ja, g, jb) == j0.contains(diff),
+        _check(failures, is_dynamically_equivalent(g, ja, g, jb) == j0.contains(diff),
                f"balanced trial {cb_trials}: equivalence/J0 membership mismatch")
         cb_trials += 1
 
@@ -241,11 +240,11 @@ def test_criterion_4_flux_state_equivalence_suite():
         de = is_dynamically_equivalent(g, k, g2, k2)
         equivalent_seen += de
         ones = tuple(Fraction(1) for _ in range(g.n))
-        fe_ones = is_flux_equivalent(g, flux_at(g, k, ones), g2, flux_at(g2, k2, ones))
+        fe_ones = is_dynamically_equivalent(g, flux_at(g, k, ones), g2, flux_at(g2, k2, ones))
         _check(failures, de == fe_ones, f"pair {pairs}: mismatch at the all-ones state")
         for t in range(5):
             x = tuple(random_positive_rational(rng) for _ in range(g.n))
-            fe_x = is_flux_equivalent(g, flux_at(g, k, x), g2, flux_at(g2, k2, x))
+            fe_x = is_dynamically_equivalent(g, flux_at(g, k, x), g2, flux_at(g2, k2, x))
             _check(failures, de == fe_x, f"pair {pairs}: mismatch at sampled state {t}")
         pairs += 1
     _check(failures, equivalent_seen >= 25, "suite failed to exercise equivalent pairs")

@@ -4,6 +4,8 @@ from pathlib import Path
 from crnlocus import parse_egraph
 from crnlocus.cli import main
 
+from fixture_graphs import g_long_cycle
+
 DATA = Path(__file__).parent / "data"
 
 
@@ -54,6 +56,14 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", "/nonexistent/g.json")
         assert code == 2
 
+    def test_long_cycle_exits_0(self, capsys, tmp_path):
+        f = tmp_path / "cycle.json"
+        f.write_text(g_long_cycle(1500).to_json())
+        code, doc, _ = run_json(capsys, "analyze", f)
+        assert code == 0
+        assert doc["weakly_reversible"] is True
+        assert doc["dims"] == {"s": 1, "d0": 0, "j0": 0}
+
     def test_graph_json_round_trips(self, capsys):
         code, doc, _ = run_json(capsys, "analyze", DATA / "g_in.json")
         g = parse_egraph(json.dumps(doc["graph"]))
@@ -103,6 +113,7 @@ class TestBound:
         )
         code, _, err = run(capsys, "bound", "--all", big)
         assert code == 4
+        assert "enumeration limit" in err and "pass a cap" in err
         assert "enumeration" in err
 
 

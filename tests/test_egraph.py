@@ -14,11 +14,18 @@ from crnlocus import (
     linkage_classes,
     parse_egraph,
     stoich_dim,
+    strongly_connected_components,
 )
-from crnlocus.egraph import iter_wr_edge_masks
+from crnlocus.egraph import iter_wr_edge_masks, wr_masks_by_size
 
-from fixture_graphs import SQUARE, g_cyc, g_in, g_k4, g_two_classes
-from oracles import brute_wr_edge_masks, reachability_weakly_reversible, random_small_egraph
+from fixture_graphs import SQUARE, g_cyc, g_in, g_k4, g_long_cycle, g_two_classes
+from oracles import (
+    brute_wr_edge_masks,
+    brute_wr_masks_up_to_size,
+    random_small_egraph,
+    reachability_components,
+    reachability_weakly_reversible,
+)
 
 
 class TestParse:
@@ -106,6 +113,18 @@ class TestWeakReversibility:
             g = random_small_egraph(rng, max_vertices=6)
             assert is_weakly_reversible(g) == reachability_weakly_reversible(g)
 
+    def test_components_against_reachability_oracle(self):
+        rng = random.Random(20241)
+        for _ in range(120):
+            g = random_small_egraph(rng, max_vertices=6)
+            assert strongly_connected_components(g) == reachability_components(g)
+
+    def test_long_cycle(self):
+        # deeper than the interpreter's default recursion limit of 1000
+        g = g_long_cycle(1500)
+        assert strongly_connected_components(g) == [list(range(1500))]
+        assert is_weakly_reversible(g)
+
 
 class TestCompleteGraph:
     def test_cyc_completes_to_k4(self):
@@ -161,6 +180,31 @@ class TestEnumerateWR:
             next(iter_wr_edge_masks(big))
         # a cap overrides the hard limit
         assert list(iter_wr_edge_masks(big, cap=1))
+
+    def test_by_size_matches_brute_force(self):
+        def by_size(masks):
+            return sorted(masks, key=lambda mask: (bin(mask).count("1"), mask))
+
+        rng = random.Random(20242)
+        graphs = [g_k4(), g_cyc()] + [random_small_egraph(rng, max_vertices=5) for _ in range(40)]
+        for g in graphs:
+            expected = by_size(brute_wr_edge_masks(g))
+            assert list(wr_masks_by_size(g)) == expected
+            for cap in (1, 2, 5, len(expected) + 1):
+                assert list(wr_masks_by_size(g, cap=cap)) == expected[:cap]
+        # 30 edges: beyond the limit without a cap; with one, the smallest
+        # subsets come first (15 two-cycles, then three-cycles)
+        big = EGraph(
+            2,
+            [(i, i * i) for i in range(6)],
+            [(i, j) for i in range(6) for j in range(6) if i != j],
+        )
+        assert big.num_edges == 30
+        with pytest.raises(EnumerationLimitError):
+            next(wr_masks_by_size(big))
+        expected = brute_wr_masks_up_to_size(big, 3)
+        assert len(expected) == 15 + 2 * 20
+        assert list(wr_masks_by_size(big, cap=len(expected))) == expected
 
 
 class TestStoichDim:

@@ -10,7 +10,6 @@ from crnlocus import (
     d0_basis,
     edge_vector_from_json,
     is_dynamically_equivalent,
-    is_flux_equivalent,
     is_weakly_reversible,
     j0_basis,
     mass_action_rhs,
@@ -198,16 +197,16 @@ class TestFluxEquivalence:
         shift = [a + b for a, b in zip(v["v1"], v["v2"])]
         j = EdgeVector.uniform(g)
         j2 = EdgeVector(g, [a + b for a, b in zip(j.values, shift)])
-        assert is_flux_equivalent(g, j, g, j2)
+        assert is_dynamically_equivalent(g, j, g, j2)
 
     def test_identical(self):
         g = g_cyc()
         j = EdgeVector.uniform(g)
-        assert is_flux_equivalent(g, j, g, j)
+        assert is_dynamically_equivalent(g, j, g, j)
 
     def test_scaling_breaks_equivalence(self):
         g = g_cyc()
-        assert not is_flux_equivalent(
+        assert not is_dynamically_equivalent(
             g, EdgeVector.uniform(g), g, EdgeVector.uniform(g, 2)
         )
 
@@ -297,7 +296,7 @@ def _flux_equiv_at(g, k, g2, k2, x):
         g2,
         [k2.values[e] * state_power(x, g2.vertices[g2.edges[e][0]], True) for e in range(g2.num_edges)],
     )
-    return is_flux_equivalent(g, j, g2, j2)
+    return is_dynamically_equivalent(g, j, g2, j2)
 
 
 def test_positive_balanced_flux_exists_iff_wr_fixtures():

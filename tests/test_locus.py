@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from crnlocus import (
+    EGraph,
     EdgeVector,
     canonical_d0_obasis,
     canonical_j0_obasis,
@@ -342,6 +343,13 @@ class TestGlobalBound:
         res = global_lower_bound(g_cyc(), cap=25)
         assert res.examined == 25
         assert not res.exhausted
+        # 21 weakly reversible subsets: a cap of 21 still finishes the
+        # scan, a cap of 20 cuts it one subset short
+        g = EGraph(2, [(0, 0), (1, 0), (0, 1)], [(0, 1), (1, 0), (0, 2)])
+        res = global_lower_bound(g, cap=21)
+        assert (res.examined, res.exhausted, res.best_mask) == (21, True, 5)
+        res = global_lower_bound(g, cap=20)
+        assert (res.examined, res.exhausted, res.best_mask) == (20, False, 5)
 
     def test_table_rows_match_examined(self):
         res = global_lower_bound(g_in())
