@@ -38,7 +38,7 @@ from .equiv import (
     is_dynamically_equivalent,
     j0_basis,
 )
-from .jsonutil import rationals_from_json
+from .jsonutil import load_json, rationals_from_json
 from .locus import (
     PsiDomainError,
     global_lower_bound,
@@ -258,8 +258,8 @@ def _cmd_psi(args: argparse.Namespace, config: RunConfig) -> int:
     g1 = _load_graph(args.g1)
     g = _load_graph(args.graph)
     try:
-        data = json.loads(Path(args.input).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as e:
+        data = load_json(Path(args.input).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as e:
         raise _CliError(EXIT_VALIDATION, f"cannot read {args.input}: {e}") from e
     try:
         order_lines = [f"source {l}" for l in _edge_order_lines(g1)] + [
@@ -368,6 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.cap is not None and args.cap < 0:
+        parser.error(f"argument --cap: must be nonnegative, got {args.cap}")
     config = RunConfig(output=args.output, seed=args.seed, tol=args.tol, cap=args.cap)
     try:
         return args.func(args, config)

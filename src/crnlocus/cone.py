@@ -8,29 +8,36 @@ here row by row) with the open positive orthant, so its dimension is
 the subspace dimension when a strictly positive point exists and zero
 otherwise.  Positivity is decided by an exact rational phase-1 simplex
 with Bland's rule; emptiness comes with a nonnegative certificate
-vector orthogonal to the subspace.
+vector orthogonal to the subspace.  When only the dimension and the
+verdict are needed, ``cone_dimension`` reads both off one integer
+elimination and runs the simplex only when that does not decide.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Mapping, Sequence
 
 from .egraph import EGraph, NotWeaklyReversibleError, is_weakly_reversible
 from .equiv import (
     EdgeVector,
     balance_matrix,
+    balance_rows,
     j0_basis,
     per_vertex_kernel,
     realize_with_diagnostic,
     restrict_to_kernel,
+    vertex_rows,
 )
 from .exactla import (
     RationalMatrix,
     Subspace,
     Vec,
+    bareiss,
     combine,
     dot,
+    integer_rows,
     kernel_basis,
     subspace_from_span,
 )
@@ -177,6 +184,64 @@ def is_complex_balanced_flux(g: EGraph, j: EdgeVector) -> bool:
     return all(x == 0 for x in balance_matrix(g).matvec(j.values))
 
 
+def out_span_normals(g: EGraph) -> dict[Vec, list[list[int]]]:
+    """Integer normals of the complement of the span of g's outgoing
+    directions, keyed by the coordinates of each vertex with out-edges.
+
+    A vertex of g1 keyed here may carry a net vector orthogonal to these
+    normals; a vertex not keyed (absent from g, or a sink of g) must carry
+    a zero net vector.
+    """
+    out: dict[Vec, list[list[int]]] = {}
+    for vi, edges in enumerate(g.out_edges):
+        if edges:
+            span = RationalMatrix.from_rows([g.reaction_vectors[ei] for ei in edges], cols=g.n)
+            out[g.vertices[vi]] = integer_rows(kernel_basis(span).basis)
+    return out
+
+
+def reduced_jr_rows(
+    g1: EGraph, normals_at: Mapping[Vec, Sequence[Sequence[int]]]
+) -> tuple[list[list[int]], bool]:
+    """Integer constraint rows of the cone subspace in fraction-free reduced
+    echelon form, zero rows dropped, plus the balance-only flag.
+
+    ``normals_at`` is ``out_span_normals(g)``.  The kernel of the rows is
+    the cone subspace, so its dimension is |E(g1)| minus the row count.
+    """
+    vertex = vertex_rows(g1, normals_at)
+    rows = vertex + balance_rows(g1)
+    del rows[bareiss(rows, g1.num_edges, reduced=True) :]
+    return rows, not vertex
+
+
+def farkas_row(rows: Sequence[Sequence[int]]) -> Sequence[int] | None:
+    """A nonzero row with every entry >= 0, or every entry <= 0, if any.
+
+    Such a row of the row space is orthogonal to every point of the
+    kernel, so no strictly positive point lies in the kernel.
+    """
+    return next((r for r in rows if any(r) and (min(r) >= 0 or max(r) <= 0)), None)
+
+
+def cone_dimension(g1: EGraph, normals_at: Mapping[Vec, Sequence[Sequence[int]]]) -> int | None:
+    """Dimension of the cone of the weakly reversible g1 against the target
+    whose ``out_span_normals`` are given, or None when the cone is empty.
+
+    Decided exactly from one integer elimination: a balance-only system
+    is nonempty because g1 is weakly reversible, a sign-definite row is
+    a certificate of emptiness, and the simplex decides the rest.
+    """
+    rows, balance_only = reduced_jr_rows(g1, normals_at)
+    if not balance_only:
+        if farkas_row(rows) is not None:
+            return None
+        kernel = kernel_basis(RationalMatrix.from_rows(rows, cols=g1.num_edges))
+        if not positive_point(kernel).feasible:
+            return None
+    return g1.num_edges - len(rows)
+
+
 def _jr_tilde(g1: EGraph, g: EGraph) -> tuple[Subspace, bool]:
     """The linear subspace underlying the cone, plus a balance-only flag.
 
@@ -192,18 +257,11 @@ def _jr_tilde(g1: EGraph, g: EGraph) -> tuple[Subspace, bool]:
             "the realization-source graph must be weakly reversible; "
             "a non-weakly-reversible graph admits no positive balanced flux"
         )
+    normals_at = out_span_normals(g)
     vectors: list[Vec] = []
     for vi in range(g1.num_vertices):
-        if not g1.out_edges[vi]:
-            continue
-        gi = g.coord_index.get(g1.vertices[vi])
-        normals = None
-        if gi is not None and g.out_edges[gi]:
-            out_span = RationalMatrix.from_rows(
-                [g.reaction_vectors[ei] for ei in g.out_edges[gi]], cols=g.n
-            )
-            normals = kernel_basis(out_span).basis
-        vectors.extend(per_vertex_kernel(g1, vi, normals))
+        if g1.out_edges[vi]:
+            vectors.extend(per_vertex_kernel(g1, vi, normals_at.get(g1.vertices[vi])))
     per_vertex = subspace_from_span(vectors, g1.num_edges)
     balance_only = per_vertex.dim == g1.num_edges
     return restrict_to_kernel(per_vertex, balance_matrix(g1)), balance_only

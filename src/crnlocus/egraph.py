@@ -20,7 +20,7 @@ from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .exactla import RationalMatrix, Rat, Vec, rank, vec
-from .jsonutil import compact_dumps, rational_from_json, rationals_to_json
+from .jsonutil import compact_dumps, load_json, rational_from_json, rationals_to_json
 
 WR_ENUMERATION_EDGE_LIMIT = 24
 
@@ -148,9 +148,11 @@ def parse_egraph(text: str) -> EGraph:
     violation, naming the offending element.
     """
     try:
-        data = json.loads(text)
+        data = load_json(text)
     except json.JSONDecodeError as e:
         raise GraphValidationError(f"malformed JSON: {e}") from e
+    except ValueError as e:
+        raise GraphValidationError(str(e)) from e
     if not isinstance(data, dict):
         raise GraphValidationError("top-level JSON value must be an object")
     for key in ("n", "vertices", "edges"):
@@ -327,13 +329,15 @@ def _wr_masks(g: EGraph, candidates: Iterable[int], cap: int | None) -> Iterator
             f"{m} edges exceeds the enumeration limit of "
             f"{WR_ENUMERATION_EDGE_LIMIT}; pass a cap to enumerate anyway"
         )
+    if cap is not None and cap < 0:
+        raise ValueError(f"cap must be nonnegative, got {cap}")
     yielded = 0
     for mask in candidates:
+        if cap is not None and yielded >= cap:
+            return
         if _mask_is_weakly_reversible(g, mask):
             yield mask
             yielded += 1
-            if cap is not None and yielded >= cap:
-                return
 
 
 def iter_wr_edge_masks(g: EGraph, cap: int | None = None) -> Iterator[int]:

@@ -20,15 +20,17 @@ from .exactla import (
     Rat,
     Subspace,
     Vec,
+    bareiss,
     combine,
     dot,
     frac,
+    integer_rows,
     kernel_basis,
     solve_particular,
     subspace_from_span,
     vec,
 )
-from .jsonutil import rationals_from_json, rationals_to_json
+from .jsonutil import load_json, rationals_from_json, rationals_to_json
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -71,7 +73,7 @@ class EdgeVector:
 
 def edge_vector_from_json(graph: EGraph, text: str | dict) -> EdgeVector:
     """Parse the edge-vector wire format, checking the embedded graph hash."""
-    data = json.loads(text) if isinstance(text, str) else text
+    data = load_json(text) if isinstance(text, str) else text
     if not isinstance(data, dict) or "graph_hash" not in data or "values" not in data:
         raise ValueError("edge vector JSON must carry 'graph_hash' and 'values'")
     if data["graph_hash"] != graph.content_hash:
@@ -185,16 +187,23 @@ def d0_constraint_matrix(g: EGraph) -> RationalMatrix:
     return RationalMatrix.from_rows(rows, cols=g.num_edges)
 
 
-def balance_matrix(g: EGraph) -> RationalMatrix:
+def balance_rows(g: EGraph) -> list[list[int]]:
     """One row per vertex: incoming minus outgoing edge weights."""
-    rows = [[_ZERO] * g.num_edges for _ in range(g.num_vertices)]
+    rows = [[0] * g.num_edges for _ in range(g.num_vertices)]
     for ei, (s, t) in enumerate(g.edges):
         rows[t][ei] += 1
         rows[s][ei] -= 1
-    return RationalMatrix.from_rows(rows, cols=g.num_edges)
+    return rows
 
 
-def _local_rows(g: EGraph, vi: int, normals: Sequence[Vec] | None = None) -> list[list[Fraction]]:
+def balance_matrix(g: EGraph) -> RationalMatrix:
+    """The balance rows as an exact matrix."""
+    return RationalMatrix.from_rows(balance_rows(g), cols=g.num_edges)
+
+
+def _local_rows(
+    g: EGraph, vi: int, normals: Sequence[Sequence[Rat]] | None = None
+) -> list[list[Fraction]]:
     """Rows over vi's out-edges: the reaction-vector coordinates, or their
     dot products with each normal."""
     rvs = [g.reaction_vectors[ei] for ei in g.out_edges[vi]]
@@ -203,7 +212,9 @@ def _local_rows(g: EGraph, vi: int, normals: Sequence[Vec] | None = None) -> lis
     return [[dot(c, rv) for rv in rvs] for c in normals]
 
 
-def per_vertex_kernel(g: EGraph, vi: int, normals: Sequence[Vec] | None = None) -> list[Vec]:
+def per_vertex_kernel(
+    g: EGraph, vi: int, normals: Sequence[Sequence[Rat]] | None = None
+) -> list[Vec]:
     """Basis of the weightings on vi's out-edges whose net vector is
     orthogonal to ``normals`` (zero when ``normals`` is None), embedded in
     the edge space of g.
@@ -222,6 +233,46 @@ def per_vertex_kernel(g: EGraph, vi: int, normals: Sequence[Vec] | None = None) 
             v[ei] = kv[pos]
         basis.append(tuple(v))
     return basis
+
+
+def vertex_rows(
+    g: EGraph, normals_at: Mapping[Vec, Sequence[Sequence[Rat]]] | None = None
+) -> list[list[int]]:
+    """The nonzero local rows of every vertex, each scaled to integers and
+    embedded in the edge space of g.
+
+    At a vertex whose coordinates key ``normals_at`` the rows are dot
+    products with those normals, elsewhere the reaction-vector
+    coordinates.  The kernel of the rows alone is D0(g); with the balance
+    rows added it is J0(g), or with normals the cone subspace.
+    """
+    rows = []
+    for vi, out in enumerate(g.out_edges):
+        if not out:
+            continue
+        normals = normals_at.get(g.vertices[vi]) if normals_at else None
+        for local in integer_rows(_local_rows(g, vi, normals)):
+            if any(local):
+                row = [0] * g.num_edges
+                for ei, x in zip(out, local):
+                    row[ei] = x
+                rows.append(row)
+    return rows
+
+
+def d0_dimension(g: EGraph) -> int:
+    """dim D0(g) from integer ranks: the system is block-diagonal by source
+    vertex, so it is the sum of |out(v)| - rank of the out-directions at v."""
+    return sum(
+        len(out) - bareiss(integer_rows(_local_rows(g, vi)), len(out))
+        for vi, out in enumerate(g.out_edges)
+        if out
+    )
+
+
+def j0_dimension(g: EGraph) -> int:
+    """dim J0(g) = |E| - rank of the stacked vertex and balance rows."""
+    return g.num_edges - bareiss(vertex_rows(g) + balance_rows(g), g.num_edges)
 
 
 def d0_basis(g: EGraph) -> Subspace:

@@ -85,9 +85,17 @@ class RationalMatrix:
         return [list(self.row(i)) for i in range(self.rows)]
 
     def matvec(self, x: Sequence[Fraction]) -> Vec:
+        """M x, skipping zero coefficients (constraint matrices are sparse)."""
         if len(x) != self.cols:
             raise ValueError("matvec dimension mismatch")
-        return tuple(dot(self.row(i), x) for i in range(self.rows))
+        out = []
+        for i in range(self.rows):
+            acc = _ZERO
+            for a, b in zip(self.row(i), x):
+                if a:
+                    acc += a * b
+            out.append(acc)
+        return tuple(out)
 
     def stack(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.cols:
@@ -95,20 +103,25 @@ class RationalMatrix:
         return RationalMatrix(self.rows + other.rows, self.cols, self.entries + other.entries)
 
 
-def _integer_rows(m: RationalMatrix) -> list[list[int]]:
-    """Row-scaled integer copy of ``m`` (scaling preserves rank)."""
+def integer_rows(rows: Iterable[Sequence[Rat]]) -> list[list[int]]:
+    """Each row scaled by the lcm of its own denominators (row scaling keeps
+    the row space, hence rank, kernel and sign pattern)."""
     out: list[list[int]] = []
-    for i in range(m.rows):
-        row = m.row(i)
+    for row in rows:
         scale = lcm(*(e.denominator for e in row)) if row else 1
-        out.append([int(e * scale) for e in row])
+        out.append([e.numerator * (scale // e.denominator) for e in row])
     return out
 
 
-def rank(m: RationalMatrix) -> int:
-    """Exact rank via fraction-free (Bareiss) elimination on integers."""
-    a = _integer_rows(m)
-    nrows, ncols = m.rows, m.cols
+def bareiss(a: list[list[int]], ncols: int, reduced: bool = False) -> int:
+    """Fraction-free elimination of the integer rows ``a`` in place; returns the rank.
+
+    The first rank rows end in echelon form.  With ``reduced`` each is also
+    cleared above its pivot (fraction-free Gauss-Jordan), which makes it a
+    positive or negative multiple of the matching row of the reduced
+    echelon form.  Every division by the previous pivot is exact.
+    """
+    nrows = len(a)
     prev = 1
     r = 0
     for c in range(ncols):
@@ -116,17 +129,25 @@ def rank(m: RationalMatrix) -> int:
         if pivot is None:
             continue
         a[r], a[pivot] = a[pivot], a[r]
-        p = a[r][c]
-        for i in range(r + 1, nrows):
+        ar = a[r]
+        p = ar[c]
+        for i in range(0 if reduced else r + 1, nrows):
+            if i == r:
+                continue
             f = a[i][c]
-            ai, ar = a[i], a[r]
-            for j in range(c, ncols):
+            ai = a[i]
+            for j in range(0 if i < r else c, ncols):
                 ai[j] = (ai[j] * p - f * ar[j]) // prev
         prev = p
         r += 1
         if r == nrows:
             break
     return r
+
+
+def rank(m: RationalMatrix) -> int:
+    """Exact rank via fraction-free (Bareiss) elimination on integers."""
+    return bareiss(integer_rows(m.row(i) for i in range(m.rows)), m.cols)
 
 
 def det(m: RationalMatrix) -> Fraction:

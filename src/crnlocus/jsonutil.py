@@ -43,6 +43,15 @@ def rationals_from_json(values: Any, where: str = "values") -> tuple[Fraction, .
     return tuple(rational_from_json(v, f"{where}[{i}]") for i, v in enumerate(values))
 
 
+def load_json(text: str) -> Any:
+    """``json.loads``, reporting nesting deeper than the parser's recursion
+    limit as malformed input (a ValueError) rather than a RecursionError."""
+    try:
+        return json.loads(text)
+    except RecursionError as e:
+        raise ValueError("malformed JSON: nesting exceeds the parser's depth limit") from e
+
+
 def compact_dumps(obj: Any) -> str:
     """Deterministic compact encoding used for content hashes."""
     return json.dumps(obj, separators=(",", ":"), ensure_ascii=False)

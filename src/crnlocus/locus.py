@@ -21,7 +21,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .cone import ConeResult, jr_dimension, membership_failure
+from .cone import (
+    ConeResult,
+    cone_dimension,
+    jr_dimension,
+    membership_failure,
+    out_span_normals,
+)
 from .egraph import (
     EGraph,
     complete_graph,
@@ -33,8 +39,10 @@ from .egraph import (
 from .equiv import (
     EdgeVector,
     d0_basis,
+    d0_dimension,
     is_dynamically_equivalent,
     j0_basis,
+    j0_dimension,
     realize_on,
     state_power,
 )
@@ -255,9 +263,11 @@ def pair_lower_bound(g: EGraph, g1: EGraph) -> BoundReport:
     """Lower bound on the locus dimension for the pair (g, g1).
 
     Not applicable (flagged, never raised) when g1 is not weakly
-    reversible or the realizable-flux cone is empty.
+    reversible or the realizable-flux cone is empty.  The dimensions of
+    D0(g), S_g1 and J0(g1) come from integer ranks and are checked
+    against the exact bases; the cone comes with a verified witness.
     """
-    dim_d0 = d0_basis(g).dim
+    dim_d0 = d0_dimension(g)
     if not is_weakly_reversible(g1):
         return BoundReport(
             g_edge_count=g.num_edges,
@@ -277,7 +287,12 @@ def pair_lower_bound(g: EGraph, g1: EGraph) -> BoundReport:
             cone=cone,
         )
     dim_s = stoich_dim(g1)
-    dim_j0 = j0_basis(g1).dim
+    dim_j0 = j0_dimension(g1)
+    if (dim_d0, dim_j0) != (d0_basis(g).dim, j0_basis(g1).dim):
+        raise RuntimeError(
+            "internal inconsistency: integer ranks disagree with the D0/J0 bases "
+            f"({dim_d0}, {dim_j0}); rank assembly is buggy"
+        )
     raw = cone.dim + dim_s + dim_d0 - dim_j0
     return BoundReport(
         g_edge_count=g.num_edges,
@@ -342,10 +357,19 @@ def global_lower_bound(g: EGraph, cap: int | None = None) -> GlobalBoundResult:
     Subgraphs are scanned by edge count, then ascending bitmask, which is
     the tie-break order (fewest edges, then bitmask).  The scan stops
     early once the theoretical maximum |E(g)| is reached: no later
-    subgraph can beat it, and none can win the tie.  ``cap`` limits the
-    number of weakly reversible subgraphs examined.
+    subgraph can beat it, and none can win the tie.  ``cap`` (at least 0)
+    limits the number of weakly reversible subgraphs examined.
+
+    Each subgraph's terms come from small integer ranks.  Only a subgraph
+    that beats the incumbent gets the full ``pair_lower_bound`` report,
+    and its terms must agree with the integer ones.
     """
+    if cap is not None and cap < 0:
+        raise ValueError(f"cap must be nonnegative, got {cap}")
     gc = complete_graph(g)
+    # Terms that depend on g alone.
+    normals_at = out_span_normals(g)
+    dim_d0 = d0_dimension(g)
     best: BoundReport | None = None
     best_mask: int | None = None
     best_sub: EGraph | None = None
@@ -359,25 +383,31 @@ def global_lower_bound(g: EGraph, cap: int | None = None) -> GlobalBoundResult:
             exhausted = False
             break
         sub = edge_subgraph(gc, [i for i in range(gc.num_edges) if mask >> i & 1])
-        report = pair_lower_bound(g, sub)
         examined += 1
-        rows.append(
-            SubgraphBoundRow(
-                mask=mask,
-                edge_count=sub.num_edges,
-                applicable=report.applicable,
-                dim_jr=report.dim_jr,
-                raw_bound=report.raw_bound,
-                capped_bound=report.capped_bound,
+        dim_jr = cone_dimension(sub, normals_at)
+        if dim_jr is None:
+            rows.append(SubgraphBoundRow(mask, sub.num_edges, False, None, None, None))
+            continue
+        dim_s = stoich_dim(sub)
+        dim_j0 = j0_dimension(sub)
+        raw = dim_jr + dim_s + dim_d0 - dim_j0
+        capped = min(raw, target)
+        rows.append(SubgraphBoundRow(mask, sub.num_edges, True, dim_jr, raw, capped))
+        if best is None or capped > best.capped_bound:
+            report = pair_lower_bound(g, sub)
+            terms = (True, dim_jr, dim_s, dim_d0, dim_j0)
+            reported = (
+                report.applicable, report.dim_jr, report.dim_s, report.dim_d0, report.dim_j0
             )
-        )
-        if report.applicable and (
-            best is None or report.capped_bound > best.capped_bound
-        ):
+            if reported != terms:
+                raise RuntimeError(
+                    f"internal inconsistency: the report for subgraph mask {mask} has terms "
+                    f"{reported}, the integer ranks gave {terms}"
+                )
             best = report
             best_mask = mask
             best_sub = sub
-            if report.capped_bound >= target:
+            if capped >= target:
                 exhausted = False
                 break
     return GlobalBoundResult(

@@ -1,6 +1,7 @@
 """Independent oracles: deliberately naive re-implementations used to
 cross-check the library's optimized paths.  Nothing here imports the
-functions it checks.
+functions it checks; ``basis_pair_terms`` checks the integer-rank scan
+against the library's exact-basis path.
 """
 
 from __future__ import annotations
@@ -9,7 +10,9 @@ import itertools
 import random
 from fractions import Fraction
 
-from crnlocus import EGraph, EdgeVector
+from crnlocus import EGraph, EdgeVector, jr_dimension
+from crnlocus.egraph import stoich_dim
+from crnlocus.equiv import d0_basis, j0_basis
 
 
 def reachability_weakly_reversible(g: EGraph) -> bool:
@@ -70,6 +73,36 @@ def brute_wr_masks_up_to_size(g: EGraph, size: int) -> list[int]:
         masks = sorted(sum(1 << i for i in c) for c in itertools.combinations(range(g.num_edges), k))
         out += [mask for mask in masks if _mask_wr_by_reachability(g, mask)]
     return out
+
+
+def basis_pair_terms(g: EGraph, g1: EGraph) -> tuple:
+    """(applicable, dim_jr, dim_s, dim_d0, dim_j0) of the pair bound for a
+    weakly reversible g1, from exact bases rather than integer ranks:
+    ``d0_basis``, ``jr_dimension`` (cone subspace, simplex and verified
+    witness), ``stoich_dim`` and ``j0_basis``.  dim_jr is None when the
+    cone is empty; the other terms are given either way."""
+    cone = jr_dimension(g1, g)
+    applicable = cone.status == "nonempty"
+    return (
+        applicable,
+        cone.dim if applicable else None,
+        stoich_dim(g1),
+        d0_basis(g).dim,
+        j0_basis(g1).dim,
+    )
+
+
+def random_four_vertex_graph(rng: random.Random, n: int, den: int = 1) -> EGraph:
+    """Four distinct points with coordinates in (1/den)Z, |coordinate| <= 2,
+    joined by 3 to 8 random edges that touch every point."""
+    points: set[tuple[Fraction, ...]] = set()
+    while len(points) < 4:
+        points.add(tuple(Fraction(rng.randint(-2 * den, 2 * den), den) for _ in range(n)))
+    pairs = [(i, j) for i in range(4) for j in range(4) if i != j]
+    while True:
+        edges = sorted(rng.sample(pairs, rng.randint(3, 8)))
+        if len({v for e in edges for v in e}) == 4:
+            return EGraph(n, sorted(points), edges)
 
 
 def direct_net_vectors(g: EGraph, values) -> dict:

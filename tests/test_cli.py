@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from crnlocus import parse_egraph
 from crnlocus.cli import main
 
@@ -97,6 +99,13 @@ class TestBound:
         assert code == 0
         assert doc["examined"] == 10
         assert doc["exhausted"] is False
+
+    @pytest.mark.parametrize("cap", [0, 1])
+    def test_all_small_caps(self, capsys, cap):
+        code, doc, _ = run_json(capsys, "--cap", cap, "bound", "--all", DATA / "g_k4.json")
+        assert code == 0
+        assert (doc["examined"], doc["exhausted"], len(doc["table"])) == (cap, False, cap)
+        assert (doc["best"] is None) == (cap == 0)
 
     def test_enumeration_limit_exit_4(self, capsys, tmp_path):
         # 6 vertices -> the complete graph has 30 edges, past the limit
@@ -230,3 +239,37 @@ def test_seed_and_tol_echoed(capsys):
     code, out, _ = run(capsys, "--seed", "7", "--tol", "1e-9", "analyze", DATA / "g_cyc.json")
     assert code == 0
     assert "seed=7" in out and "tol=1e-09" in out
+
+
+class TestCap:
+    @pytest.mark.parametrize("cap", [0, 1])
+    def test_enumerate_wr_lists_at_most_cap(self, capsys, cap):
+        code, doc, _ = run_json(capsys, "--cap", cap, "enumerate-wr", DATA / "g_k4.json")
+        assert code == 0
+        assert doc["count"] == len(doc["subgraphs"]) == cap
+
+    @pytest.mark.parametrize("command", [["enumerate-wr"], ["bound", "--all"]])
+    def test_negative_cap_exits_2(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main(["--cap", "-1", *command, str(DATA / "g_k4.json")])
+        assert exc.value.code == 2
+        assert "--cap: must be nonnegative" in capsys.readouterr().err
+
+
+class TestDeepJson:
+    """Nesting past the parser's recursion limit is a parse error, not a traceback."""
+
+    @pytest.mark.parametrize("text", ["[" * 5000, "[" * 5000 + "]" * 5000])
+    def test_graph_file_exits_2(self, capsys, tmp_path, text):
+        deep = tmp_path / "deep.json"
+        deep.write_text(text)
+        code, _, err = run(capsys, "analyze", deep)
+        assert code == 2
+        assert "nesting exceeds the parser's depth limit" in err
+
+    def test_vector_file_exits_2(self, capsys, tmp_path):
+        deep = tmp_path / "deep.json"
+        deep.write_text('{"values": ' * 5000)
+        code, _, err = run(capsys, "check", "cb-flux", DATA / "g_k4.json", deep)
+        assert code == 2
+        assert "nesting exceeds the parser's depth limit" in err

@@ -169,6 +169,11 @@ class TestEnumerateWR:
         subs = list(enumerate_wr_subgraphs(g_k4(), cap=10))
         assert len(subs) == 10
 
+    def test_negative_cap_rejected(self):
+        for masks in (iter_wr_edge_masks, wr_masks_by_size):
+            with pytest.raises(ValueError):
+                next(masks(g_k4(), cap=-1))
+
     def test_edge_limit_enforced(self):
         big = EGraph(
             2,
@@ -190,7 +195,7 @@ class TestEnumerateWR:
         for g in graphs:
             expected = by_size(brute_wr_edge_masks(g))
             assert list(wr_masks_by_size(g)) == expected
-            for cap in (1, 2, 5, len(expected) + 1):
+            for cap in (0, 1, 2, 5, len(expected) + 1):
                 assert list(wr_masks_by_size(g, cap=cap)) == expected[:cap]
         # 30 edges: beyond the limit without a cap; with one, the smallest
         # subsets come first (15 two-cycles, then three-cycles)

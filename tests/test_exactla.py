@@ -17,7 +17,7 @@ from crnlocus import (
     subspace_from_span,
 )
 from crnlocus.equiv import d0_constraint_matrix
-from crnlocus.exactla import dot, vec
+from crnlocus.exactla import bareiss, dot, integer_rows, vec
 
 from fixture_graphs import g_k4
 
@@ -149,6 +149,22 @@ def test_rank_nullity(m):
 def test_kernel_vectors_annihilate(m):
     for b in kernel_basis(m).basis:
         assert all(x == 0 for x in m.matvec(b))
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices(), st.integers(0, 3))
+def test_reduced_bareiss_rows_are_rref_multiples(m, repeat):
+    # Repeated rows make the matrix rank-deficient, so columns get skipped.
+    rows = m.row_list() + m.row_list()[:repeat]
+    a = integer_rows(rows)
+    r = bareiss(a, m.cols, reduced=True)
+    rref = subspace_from_span(rows, m.cols).basis
+    assert r == len(rref) == rank(m)
+    for got, want in zip(a, rref):
+        lead = next(x for x in want if x)
+        scale = Fraction(got[want.index(lead)]) / lead
+        assert scale != 0 and all(g == scale * w for g, w in zip(got, want))
+    assert not any(any(row) for row in a[r:])
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 
@@ -18,12 +19,20 @@ from crnlocus import (
     psi_map,
     psi_small,
 )
-from crnlocus.equiv import d0_basis
+from crnlocus.cone import (
+    cone_dimension,
+    farkas_row,
+    out_span_normals,
+    positive_point,
+    reduced_jr_rows,
+)
+from crnlocus.egraph import complete_graph, edge_subgraph
+from crnlocus.equiv import d0_basis, d0_dimension, j0_basis, j0_dimension
 from crnlocus.exactla import combine, coords_in_basis, dot, vec
 from crnlocus.locus import PsiDomainError
 
 from fixture_graphs import g_cyc, g_in, g_k4
-from oracles import random_positive_rational
+from oracles import basis_pair_terms, random_four_vertex_graph, random_positive_rational
 
 PAIRS = [
     ("in,cyc", g_in(), g_cyc(), 1, 3),
@@ -350,6 +359,10 @@ class TestGlobalBound:
         assert (res.examined, res.exhausted, res.best_mask) == (21, True, 5)
         res = global_lower_bound(g, cap=20)
         assert (res.examined, res.exhausted, res.best_mask) == (20, False, 5)
+        res = global_lower_bound(g, cap=0)
+        assert (res.examined, res.exhausted, res.best_mask) == (0, False, None)
+        with pytest.raises(ValueError):
+            global_lower_bound(g, cap=-1)
 
     def test_table_rows_match_examined(self):
         res = global_lower_bound(g_in())
@@ -375,3 +388,95 @@ class TestGlobalBound:
         assert res.best.capped_bound == -best[0]
         assert res.best_subgraph.num_edges == best[1]
         assert res.best_mask == best[2]
+
+
+def _scan_configs():
+    """The fixtures, then 30 seeded 4-vertex graphs in 2-D and 3-D; every
+    third one has half-integer coordinates."""
+    rng = random.Random(4)
+    configs = {"g_k4": g_k4(), "g_cyc": g_cyc(), "g_in": g_in()}
+    for k in range(30):
+        n, den = 2 + k % 2, (2 if k % 3 == 0 else 1)
+        configs[f"r{k}-{n}d-den{den}"] = random_four_vertex_graph(rng, n, den)
+    return configs
+
+
+SCAN_CONFIGS = _scan_configs()
+# Rows checked per random configuration.  The basis oracle costs about
+# 2.5 ms a subgraph, so checking all ~35,000 rows of the 30 random scans
+# would double the suite's run time; the fixtures are checked in full.
+ROW_SAMPLE = 60
+
+
+@functools.cache
+def _scan(name):
+    """The uncapped scan of a configuration and the table rows to check."""
+    res = global_lower_bound(SCAN_CONFIGS[name])
+    if name.startswith("g_"):
+        return res, res.table
+    picked = set(random.Random(name).sample(res.table, min(ROW_SAMPLE, len(res.table))))
+    return res, tuple(r for r in res.table if r in picked or r.mask == res.best_mask)
+
+
+def _subgraph(g, mask):
+    gc = complete_graph(g)
+    return edge_subgraph(gc, [i for i in range(gc.num_edges) if mask >> i & 1])
+
+
+class TestIntegerScan:
+    def test_configs_include_non_integer_coordinates(self):
+        graphs = SCAN_CONFIGS.values()
+        assert sum(not g.has_integer_coordinates() for g in graphs) >= 10
+        assert {g.n for g in graphs} == {2, 3}
+
+    @pytest.mark.parametrize("name", SCAN_CONFIGS)
+    def test_table_matches_basis_oracle(self, name):
+        g = SCAN_CONFIGS[name]
+        res, rows = _scan(name)
+        assert len(res.table) == res.examined
+        for row in rows:
+            sub = _subgraph(g, row.mask)
+            applicable, dim_jr, dim_s, dim_d0, dim_j0 = basis_pair_terms(g, sub)
+            assert (row.applicable, row.dim_jr) == (applicable, dim_jr), row
+            assert j0_dimension(sub) == dim_j0, row
+            if applicable:
+                raw = dim_jr + dim_s + dim_d0 - dim_j0
+                assert (row.raw_bound, row.capped_bound) == (raw, min(raw, g.num_edges)), row
+            else:
+                assert (row.raw_bound, row.capped_bound) == (None, None), row
+        if res.best is not None:
+            best = res.best
+            assert (best.applicable, best.dim_jr, best.dim_s, best.dim_d0, best.dim_j0) == (
+                basis_pair_terms(g, _subgraph(g, res.best_mask))
+            )
+
+    @pytest.mark.parametrize("name", SCAN_CONFIGS)
+    def test_sign_rule_only_rejects_infeasible_cones(self, name):
+        g = SCAN_CONFIGS[name]
+        normals_at = out_span_normals(g)
+        for row in _scan(name)[1]:
+            sub = _subgraph(g, row.mask)
+            if farkas_row(reduced_jr_rows(sub, normals_at)[0]) is not None:
+                assert not positive_point(jr_subspace(sub, g)).feasible, row
+
+    def test_sign_rule_certifies_empty_pair(self):
+        from test_cone import empty_pair
+
+        g1, g = empty_pair()
+        rows, balance_only = reduced_jr_rows(g1, out_span_normals(g))
+        assert not balance_only and farkas_row(rows) is not None
+        assert cone_dimension(g1, out_span_normals(g)) is None
+
+    def test_non_integer_rows_scaled_per_row(self):
+        # Scaling each reaction vector to integers, rather than each row,
+        # rescales the columns of the coordinate rows but not of the balance
+        # rows, which raises the rank of this J0 system from 7 to 8.
+        h = Fraction(1, 2)
+        g = EGraph(2, [(-1, -3 * h), (0, -3 * h), (3 * h, 1), (3 * h, 3 * h)],
+                   [(0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 0)])
+        g1 = EGraph(2, g.vertices, [(0, 1), (0, 2), (0, 3), (1, 0), (1, 2), (1, 3), (2, 1), (3, 0)])
+        assert j0_dimension(g1) == j0_basis(g1).dim == g1.num_edges - 7
+        for target in (g, g1, g_k4()):
+            normals_at = out_span_normals(target)
+            assert cone_dimension(g1, normals_at) == basis_pair_terms(target, g1)[1]
+            assert d0_dimension(target) == d0_basis(target).dim
