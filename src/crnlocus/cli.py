@@ -33,10 +33,10 @@ from .egraph import (
 from .equiv import (
     EdgeVector,
     VectorGraphMismatchError,
-    d0_basis,
+    d0_dimension,
     edge_vector_from_json,
     is_dynamically_equivalent,
-    j0_basis,
+    j0_dimension,
 )
 from .jsonutil import load_json, rationals_from_json
 from .locus import (
@@ -126,7 +126,7 @@ def _cmd_analyze(args: argparse.Namespace, config: RunConfig) -> int:
     g = _load_graph(args.graph)
     classes = linkage_classes(g)
     wr = is_weakly_reversible(g)
-    dims = {"s": stoich_dim(g), "d0": d0_basis(g).dim, "j0": j0_basis(g).dim}
+    dims = {"s": stoich_dim(g), "d0": d0_dimension(g), "j0": j0_dimension(g)}
     payload = {
         "graph": g.to_json_dict(),
         "graph_hash": g.content_hash,

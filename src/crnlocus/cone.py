@@ -211,7 +211,7 @@ def reduced_jr_rows(
     """
     vertex = vertex_rows(g1, normals_at)
     rows = vertex + balance_rows(g1)
-    del rows[bareiss(rows, g1.num_edges, reduced=True) :]
+    del rows[len(bareiss(rows, g1.num_edges, reduced=True)[0]) :]
     return rows, not vertex
 
 

@@ -264,7 +264,7 @@ def d0_dimension(g: EGraph) -> int:
     """dim D0(g) from integer ranks: the system is block-diagonal by source
     vertex, so it is the sum of |out(v)| - rank of the out-directions at v."""
     return sum(
-        len(out) - bareiss(integer_rows(_local_rows(g, vi)), len(out))
+        len(out) - len(bareiss(integer_rows(_local_rows(g, vi)), len(out))[0])
         for vi, out in enumerate(g.out_edges)
         if out
     )
@@ -272,7 +272,7 @@ def d0_dimension(g: EGraph) -> int:
 
 def j0_dimension(g: EGraph) -> int:
     """dim J0(g) = |E| - rank of the stacked vertex and balance rows."""
-    return g.num_edges - bareiss(vertex_rows(g) + balance_rows(g), g.num_edges)
+    return g.num_edges - len(bareiss(vertex_rows(g) + balance_rows(g), g.num_edges)[0])
 
 
 def d0_basis(g: EGraph) -> Subspace:
@@ -288,15 +288,26 @@ def d0_basis(g: EGraph) -> Subspace:
 
 
 def restrict_to_kernel(sub: Subspace, constraints: RationalMatrix) -> Subspace:
-    """The subspace of ``sub`` annihilated by the constraint rows."""
+    """The subspace of ``sub`` annihilated by the constraint rows.
+
+    Entry (i, j) of the reduced system is constraint row i applied to
+    basis vector j, summed only over the nonzero entries of the basis
+    vector and of the constraint columns.
+    """
     if not sub.basis:
         return sub
-    cols = [constraints.matvec(b) for b in sub.basis]
-    reduced = RationalMatrix.from_rows(
-        [[cols[j][i] for j in range(len(cols))] for i in range(constraints.rows)],
-        cols=len(cols),
-    )
-    combos = kernel_basis(reduced)
+    ncols = constraints.cols
+    column_entries: list[list[tuple[int, Fraction]]] = [[] for _ in range(ncols)]
+    for k, x in enumerate(constraints.entries):
+        if x:
+            column_entries[k % ncols].append((k // ncols, x))
+    reduced = [[_ZERO] * len(sub.basis) for _ in range(constraints.rows)]
+    for j, b in enumerate(sub.basis):
+        for e, x in enumerate(b):
+            if x:
+                for i, c in column_entries[e]:
+                    reduced[i][j] += c * x
+    combos = kernel_basis(RationalMatrix.from_rows(reduced, cols=len(sub.basis)))
     vectors = [combine(t, sub.basis, sub.ambient) for t in combos.basis]
     return subspace_from_span(vectors, sub.ambient)
 

@@ -1,17 +1,20 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact linear algebra over the rationals.
 
-Everything in this module works with ``fractions.Fraction`` and never
-rounds: ranks, kernels, particular solutions, determinants, and
-Gram-Schmidt orthogonalization.  Bases are kept orthogonal but *not*
-orthonormal, since normalization would require square roots and leave
-the rationals; coordinate maps divide by the squared lengths instead.
+Nothing in this module rounds.  Every elimination -- ranks, determinants,
+kernels, spanned subspaces and particular solutions -- scales each row
+to integers and runs through one fraction-free routine, ``bareiss``,
+which leaves alone the rows it does not need to touch; canonical bases
+are read off its reduced rows as ``fractions.Fraction``s.
+Gram-Schmidt keeps bases orthogonal but *not* orthonormal, since
+normalization would require square roots and leave the rationals;
+coordinate maps divide by the squared lengths instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from typing import Iterable, Sequence
 
 Rat = int | Fraction
@@ -113,107 +116,80 @@ def integer_rows(rows: Iterable[Sequence[Rat]]) -> list[list[int]]:
     return out
 
 
-def bareiss(a: list[list[int]], ncols: int, reduced: bool = False) -> int:
-    """Fraction-free elimination of the integer rows ``a`` in place; returns the rank.
+def bareiss(a: list[list[int]], ncols: int, reduced: bool = False) -> tuple[list[int], int]:
+    """Fraction-free elimination of the integer rows ``a`` in place; returns
+    the pivot columns and the sign of the row permutation.
 
-    The first rank rows end in echelon form.  With ``reduced`` each is also
-    cleared above its pivot (fraction-free Gauss-Jordan), which makes it a
-    positive or negative multiple of the matching row of the reduced
-    echelon form.  Every division by the previous pivot is exact.
+    Pivots are sought in the first ``ncols`` columns, but whole rows are
+    updated, so columns past ``ncols`` follow the row operations.  The
+    first rank rows end in echelon form; with ``reduced`` each is also
+    cleared above its pivot (fraction-free Gauss-Jordan), which makes it
+    a positive or negative multiple of the matching row of the reduced
+    echelon form.
+
+    A row whose entry in the pivot column is zero is left untouched:
+    textbook Bareiss would only rescale it by the ratio of consecutive
+    pivots, and those ratios telescope.  Each row keeps the pivot it was
+    last scaled to (its level), divides by that level when it is next
+    updated, and is brought up to the current level before it pivots.
+    Every division is exact, since its result is the entry textbook
+    Bareiss reaches, a minor of the input.
     """
     nrows = len(a)
+    level = [1] * nrows
+    pivots: list[int] = []
+    sign = 1
     prev = 1
     r = 0
     for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if a[i][c] != 0), None)
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        ar = a[r]
-        p = ar[c]
-        for i in range(0 if reduced else r + 1, nrows):
-            if i == r:
-                continue
-            f = a[i][c]
-            ai = a[i]
-            for j in range(0 if i < r else c, ncols):
-                ai[j] = (ai[j] * p - f * ar[j]) // prev
-        prev = p
-        r += 1
         if r == nrows:
             break
-    return r
+        pivot = next((i for i in range(r, nrows) if a[i][c]), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            a[r], a[pivot] = a[pivot], a[r]
+            level[r], level[pivot] = level[pivot], level[r]
+            sign = -sign
+        ar = a[r]
+        if level[r] != prev:
+            lr = level[r]
+            ar[c:] = [x * prev // lr for x in ar[c:]]
+        p = ar[c]
+        for i in range(0 if reduced else r + 1, nrows):
+            ai = a[i]
+            f = ai[c]
+            if not f or i == r:
+                continue
+            li = level[i]
+            lo = 0 if i < r else c
+            ai[lo:] = [(x * p - f * y) // li for x, y in zip(ai[lo:], ar[lo:])]
+            level[i] = p
+        level[r] = prev = p
+        pivots.append(c)
+        r += 1
+    return pivots, sign
 
 
 def rank(m: RationalMatrix) -> int:
     """Exact rank via fraction-free (Bareiss) elimination on integers."""
-    return bareiss(integer_rows(m.row(i) for i in range(m.rows)), m.cols)
+    return len(bareiss(integer_rows(m.row(i) for i in range(m.rows)), m.cols)[0])
 
 
 def det(m: RationalMatrix) -> Fraction:
-    """Exact determinant via Bareiss elimination (row-scaled to integers)."""
+    """Exact determinant: the last Bareiss pivot of the row-scaled integer
+    matrix, signed by the row permutation and divided by the row scales."""
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
-    n = m.rows
-    if n == 0:
+    if m.rows == 0:
         return _ONE
-    a: list[list[int]] = []
-    scale = _ONE
-    for i in range(n):
-        row = m.row(i)
-        s = lcm(*(e.denominator for e in row))
-        scale *= s
-        a.append([int(e * s) for e in row])
-    sign = 1
-    prev = 1
-    for c in range(n - 1):
-        pivot = next((i for i in range(c, n) if a[i][c] != 0), None)
-        if pivot is None:
-            return _ZERO
-        if pivot != c:
-            a[c], a[pivot] = a[pivot], a[c]
-            sign = -sign
-        p = a[c][c]
-        for i in range(c + 1, n):
-            f = a[i][c]
-            ai, ac = a[i], a[c]
-            for j in range(c, n):
-                ai[j] = (ai[j] * p - f * ac[j]) // prev
-        prev = p
-    return Fraction(sign * a[n - 1][n - 1], 1) / scale
-
-
-def _rref(rows: list[list[Fraction]]) -> list[int]:
-    """In-place reduced row echelon form; returns the pivot columns."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        prow = rows[r]
-        inv = _ONE / prow[c]
-        if inv != 1:
-            for j in range(c, ncols):
-                if prow[j]:
-                    prow[j] *= inv
-        for i in range(nrows):
-            if i == r:
-                continue
-            f = rows[i][c]
-            if f:
-                irow = rows[i]
-                for j in range(c, ncols):
-                    if prow[j]:
-                        irow[j] -= f * prow[j]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return pivots
+    rows = [m.row(i) for i in range(m.rows)]
+    a = integer_rows(rows)
+    pivots, sign = bareiss(a, m.cols)
+    if len(pivots) < m.rows:
+        return _ZERO
+    scale = prod(lcm(*(e.denominator for e in row)) for row in rows)
+    return Fraction(sign * a[-1][-1], scale)
 
 
 @dataclass(frozen=True)
@@ -256,14 +232,19 @@ class Subspace:
 
 def subspace_from_span(vectors: Sequence[Sequence[Rat]], ambient: int) -> Subspace:
     """Subspace spanned by ``vectors``, with a canonical row-reduced basis."""
-    rows = [list(vec(v)) for v in vectors if any(frac(x) != 0 for x in v)]
+    rows = [vec(v) for v in vectors if any(frac(x) != 0 for x in v)]
     for r in rows:
         if len(r) != ambient:
             raise ValueError("vector length differs from ambient dimension")
-    if not rows:
-        return Subspace(ambient, ())
-    pivots = _rref(rows)
-    return Subspace(ambient, tuple(tuple(rows[i]) for i in range(len(pivots))))
+    a = integer_rows(rows)
+    pivots, _ = bareiss(a, ambient, reduced=True)
+    return Subspace(
+        ambient,
+        tuple(
+            tuple(Fraction(x, row[p]) if x else _ZERO for x in row)
+            for row, p in zip(a, pivots)
+        ),
+    )
 
 
 def kernel_basis(m: RationalMatrix) -> Subspace:
@@ -272,15 +253,18 @@ def kernel_basis(m: RationalMatrix) -> Subspace:
     One basis vector per free column f of the reduced echelon form, with
     entry 1 at f and the negated pivot-column coefficients elsewhere.
     """
-    rows = m.row_list()
-    pivots = _rref(rows) if rows else []
-    free = [c for c in range(m.cols) if c not in pivots]
+    a = integer_rows(m.row(i) for i in range(m.rows))
+    pivots, _ = bareiss(a, m.cols, reduced=True)
+    pivot_set = set(pivots)
     basis: list[Vec] = []
-    for f in free:
+    for f in range(m.cols):
+        if f in pivot_set:
+            continue
         v = [_ZERO] * m.cols
         v[f] = _ONE
-        for r, p in enumerate(pivots):
-            v[p] = -rows[r][f]
+        for row, p in zip(a, pivots):
+            if row[f]:
+                v[p] = Fraction(-row[f], row[p])
         basis.append(tuple(v))
     return Subspace(m.cols, tuple(basis))
 
@@ -294,13 +278,14 @@ def solve_particular(m: RationalMatrix, b: Sequence[Rat]) -> Vec | None:
     rhs = vec(b)
     if len(rhs) != m.rows:
         raise ValueError("right-hand side length differs from row count")
-    rows = [list(m.row(i)) + [rhs[i]] for i in range(m.rows)]
-    pivots = _rref(rows) if rows else []
+    a = integer_rows(m.row(i) + (rhs[i],) for i in range(m.rows))
+    pivots, _ = bareiss(a, m.cols + 1, reduced=True)
     if m.cols in pivots:
         return None
     x = [_ZERO] * m.cols
-    for r, p in enumerate(pivots):
-        x[p] = rows[r][m.cols]
+    for row, p in zip(a, pivots):
+        if row[m.cols]:
+            x[p] = Fraction(row[m.cols], row[p])
     return tuple(x)
 
 

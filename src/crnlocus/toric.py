@@ -24,8 +24,10 @@ from .equiv import EdgeVector, mass_action_rhs, state_power
 from .exactla import (
     RationalMatrix,
     Vec,
+    bareiss,
     det,
     frac,
+    integer_rows,
     kernel_basis,
     orthogonalize,
     subspace_from_span,
@@ -193,43 +195,36 @@ def _exact_witness(rows: list[Vec], ratios: list[Fraction], n: int) -> Vec | Non
     """Try to solve x^rows = ratios in positive rationals (free coordinates 1).
 
     Integer row operations act multiplicatively on the ratios, so the
-    elimination stays exact; a pivot with coefficient d needs an exact
-    rational d-th root to back-substitute, otherwise the exact path
-    fails and the caller falls back to floats.
+    elimination stays exact: an identity block appended to the integer
+    rows records which integer combination of the original rows each
+    eliminated row is, and its ratio is the matching product of powers.
+    A pivot with coefficient d needs an exact rational d-th root to
+    back-substitute, otherwise the exact path fails and the caller falls
+    back to floats.
     """
-    work: list[tuple[list[int], Fraction]] = []
-    for row, ratio in zip(rows, ratios):
-        scale = math.lcm(*(x.denominator for x in row)) if row else 1
-        work.append(([int(x * scale) for x in row], ratio**scale))
-    nrows = len(work)
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for c in range(n):
-        pivot = next((i for i in range(r, nrows) if work[i][0][c] != 0), None)
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        prow, pratio = work[r]
-        p = prow[c]
-        for i in range(r + 1, nrows):
-            irow, iratio = work[i]
-            f = irow[c]
-            if f:
-                g_ = math.gcd(p, f)
-                a, b = p // g_, f // g_
-                if a < 0:
-                    a, b = -a, -b
-                new_row = [a * irow[j] - b * prow[j] for j in range(n)]
-                work[i] = (new_row, iratio**a / pratio**b)
-        pivots.append((r, c))
-        r += 1
-    for i in range(r, nrows):
-        if work[i][1] != 1:
-            return None  # inconsistent; caller should have checked already
+    m = len(rows)
+    bases = [ratio ** math.lcm(*(x.denominator for x in row)) for row, ratio in zip(rows, ratios)]
+    work = [row + [int(i == k) for k in range(m)] for i, row in enumerate(integer_rows(rows))]
+    pivots, _ = bareiss(work, n)
+    # A row divided by its content is still an integer combination of the
+    # original rows, with smaller exponents.
+    for row in work:
+        content = math.gcd(*row)
+        if content > 1:
+            row[:] = [x // content for x in row]
+
+    def ratio_of(row: list[int]) -> Fraction:
+        out = _ONE
+        for base, e in zip(bases, row[n:]):
+            if e:
+                out *= base**e
+        return out
+
+    if any(ratio_of(row) != 1 for row in work[len(pivots) :]):
+        return None  # inconsistent; caller should have checked already
     x = [_ONE] * n
-    for r_idx, c in reversed(pivots):
-        row, ratio = work[r_idx]
-        rhs = ratio
+    for row, c in reversed(list(zip(work, pivots))):
+        rhs = ratio_of(row)
         for j in range(c + 1, n):
             if row[j]:
                 rhs /= x[j] ** row[j]

@@ -7,6 +7,7 @@ against the library's exact-basis path.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -269,3 +270,148 @@ def random_edge_vector(g: EGraph, rng: random.Random, positive: bool = False) ->
     if positive:
         return EdgeVector(g, [random_positive_rational(rng) for _ in range(g.num_edges)])
     return EdgeVector(g, [random_rational(rng) for _ in range(g.num_edges)])
+
+
+def naive_rref(rows) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form by Gauss-Jordan on Fractions: the nonzero
+    rows and their pivot columns."""
+    rows = [[Fraction(x) for x in r] for r in rows]
+    ncols = len(rows[0]) if rows else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows[:r], pivots
+
+
+def naive_kernel(rows, ncols: int) -> list[tuple[Fraction, ...]]:
+    """One kernel vector per free column of the naive RREF, entry 1 there."""
+    rref, pivots = naive_rref(rows)
+    out = []
+    for f in range(ncols):
+        if f not in pivots:
+            v = [Fraction(0)] * ncols
+            v[f] = Fraction(1)
+            for row, p in zip(rref, pivots):
+                v[p] = -row[f]
+            out.append(tuple(v))
+    return out
+
+
+def naive_solve(rows, rhs, ncols: int) -> tuple[Fraction, ...] | None:
+    """Particular solution from the RREF of [rows | rhs], free variables
+    zero, or None when the last column is a pivot."""
+    rref, pivots = naive_rref([list(r) + [b] for r, b in zip(rows, rhs)])
+    if ncols in pivots:
+        return None
+    x = [Fraction(0)] * ncols
+    for row, p in zip(rref, pivots):
+        x[p] = row[ncols]
+    return tuple(x)
+
+
+def cofactor_det(rows) -> Fraction:
+    """Determinant by cofactor expansion along the first row."""
+    if not rows:
+        return Fraction(1)
+    total = Fraction(0)
+    for j, x in enumerate(rows[0]):
+        if x:
+            minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
+            total += (-1) ** j * Fraction(x) * cofactor_det(minor)
+    return total
+
+
+def random_engine_matrix(rng: random.Random, kind: str) -> list[list[Fraction]]:
+    """A seeded matrix that stresses one path of the elimination engine:
+    "sparse" (mostly zero), "deficient" (rows that are combinations of
+    others), "negative" (negative pivots) or "swap" (zero leading entries
+    that force row swaps)."""
+    nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
+    if kind == "sparse":
+        return [[random_rational(rng) if rng.random() < 0.25 else Fraction(0)
+                 for _ in range(ncols)] for _ in range(nrows)]
+    if kind == "deficient":
+        base = [[random_rational(rng) for _ in range(ncols)] for _ in range(rng.randint(1, 3))]
+        return [[sum((random_rational(rng) * b[j] for b in base), Fraction(0)) for j in range(ncols)]
+                for _ in range(nrows)]
+    if kind == "negative":
+        return [[-abs(random_rational(rng)) if j == i else random_rational(rng)
+                 for j in range(ncols)] for i in range(nrows)]
+    if kind == "swap":
+        return [[Fraction(0) if j <= nrows - 1 - i else random_rational(rng)
+                 for j in range(ncols)] for i in range(nrows)]
+    raise ValueError(kind)
+
+
+def naive_exact_witness(rows, ratios, n: int):
+    """Solve x^rows = ratios in positive rationals with free coordinates 1
+    by gcd-reduced pairwise integer row elimination, each operation
+    applied multiplicatively to the ratios; None when a pivot needs an
+    irrational root or a zero row keeps a ratio other than 1."""
+
+    def int_root(a: int, d: int) -> int | None:
+        if a < 0:
+            return None
+        lo, hi = 0, 1 << (a.bit_length() // d + 1)
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            if mid**d <= a:
+                lo = mid
+            else:
+                hi = mid - 1
+        return lo if lo**d == a else None
+
+    def nth_root(x: Fraction, d: int) -> Fraction | None:
+        if d < 0:
+            x, d = 1 / x, -d
+        num, den = int_root(x.numerator, d), int_root(x.denominator, d)
+        return None if num is None or den is None else Fraction(num, den)
+
+    work = []
+    for row, ratio in zip(rows, ratios):
+        scale = math.lcm(*(Fraction(x).denominator for x in row))
+        work.append(([int(x * scale) for x in row], ratio**scale))
+    pivots = []
+    r = 0
+    for c in range(n):
+        pivot = next((i for i in range(r, len(work)) if work[i][0][c] != 0), None)
+        if pivot is None:
+            continue
+        work[r], work[pivot] = work[pivot], work[r]
+        prow, pratio = work[r]
+        p = prow[c]
+        for i in range(r + 1, len(work)):
+            irow, iratio = work[i]
+            f = irow[c]
+            if f:
+                g_ = math.gcd(p, f)
+                a, b = p // g_, f // g_
+                if a < 0:
+                    a, b = -a, -b
+                work[i] = ([a * irow[j] - b * prow[j] for j in range(n)], iratio**a / pratio**b)
+        pivots.append((r, c))
+        r += 1
+    if any(ratio != 1 for _, ratio in work[r:]):
+        return None
+    x = [Fraction(1)] * n
+    for r_idx, c in reversed(pivots):
+        row, rhs = work[r_idx]
+        for j in range(c + 1, n):
+            if row[j]:
+                rhs /= x[j] ** row[j]
+        root = nth_root(rhs, row[c])
+        if root is None:
+            return None
+        x[c] = root
+    return tuple(x)

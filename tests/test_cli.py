@@ -84,6 +84,15 @@ class TestBound:
         assert code == 0
         assert doc["report"]["capped_bound"] == 8
 
+    def test_long_cycle_pair_exits_0(self, capsys, tmp_path):
+        # A balance-only cone over 300 edges: restrict_to_kernel on a
+        # 300 x 300 sparse system.
+        f = tmp_path / "cycle.json"
+        f.write_text(g_long_cycle(300).to_json())
+        code, doc, _ = run_json(capsys, "bound", f, f)
+        assert code == 0
+        assert doc["report"]["capped_bound"] == 2
+
     def test_not_wr_exit_3(self, capsys):
         code, _, err = run(capsys, "bound", DATA / "g_cyc.json", DATA / "g_in.json")
         assert code == 3

@@ -20,6 +20,14 @@ from crnlocus.equiv import d0_constraint_matrix
 from crnlocus.exactla import bareiss, dot, integer_rows, vec
 
 from fixture_graphs import g_k4
+from oracles import (
+    cofactor_det,
+    naive_kernel,
+    naive_rref,
+    naive_solve,
+    random_engine_matrix,
+    random_rational,
+)
 
 rationals = st.fractions(
     min_value=-4, max_value=4, max_denominator=4
@@ -157,14 +165,47 @@ def test_reduced_bareiss_rows_are_rref_multiples(m, repeat):
     # Repeated rows make the matrix rank-deficient, so columns get skipped.
     rows = m.row_list() + m.row_list()[:repeat]
     a = integer_rows(rows)
-    r = bareiss(a, m.cols, reduced=True)
-    rref = subspace_from_span(rows, m.cols).basis
-    assert r == len(rref) == rank(m)
+    pivots, _ = bareiss(a, m.cols, reduced=True)
+    rref, want_pivots = naive_rref(rows)
+    assert pivots == want_pivots
     for got, want in zip(a, rref):
         lead = next(x for x in want if x)
         scale = Fraction(got[want.index(lead)]) / lead
         assert scale != 0 and all(g == scale * w for g, w in zip(got, want))
-    assert not any(any(row) for row in a[r:])
+    assert not any(any(row) for row in a[len(pivots):])
+
+
+def _assert_engine_matches_oracles(m: RationalMatrix, rhs) -> None:
+    rows = m.row_list()
+    rref, pivots = naive_rref(rows)
+    assert rank(m) == len(pivots)
+    assert kernel_basis(m).basis == tuple(naive_kernel(rows, m.cols))
+    assert subspace_from_span(rows, m.cols).basis == tuple(tuple(r) for r in rref)
+    assert solve_particular(m, rhs) == naive_solve(rows, rhs, m.cols)
+    k = min(m.rows, m.cols, 5)
+    square = RationalMatrix.from_rows([r[:k] for r in rows[:k]])
+    assert det(square) == cofactor_det([r[:k] for r in rows[:k]])
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices(max_dim=6), st.data())
+def test_engine_matches_naive_oracles(m, data):
+    rhs = data.draw(st.lists(rationals, min_size=m.rows, max_size=m.rows))
+    _assert_engine_matches_oracles(m, rhs)
+
+
+def test_engine_matches_naive_oracles_on_seeded_kinds():
+    rng = random.Random(8)
+    for kind in ("sparse", "deficient", "negative", "swap"):
+        for _ in range(250):
+            m = RationalMatrix.from_rows(random_engine_matrix(rng, kind))
+            # Half the right-hand sides lie in the column space.
+            if rng.random() < 0.5:
+                x = [random_rational(rng) for _ in range(m.cols)]
+                rhs = m.matvec(x)
+            else:
+                rhs = [random_rational(rng) for _ in range(m.rows)]
+            _assert_engine_matches_oracles(m, rhs)
 
 
 @settings(max_examples=60, deadline=None)
@@ -225,16 +266,4 @@ def test_det_cross_check_random():
         m = RationalMatrix.from_rows(
             [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)] for _ in range(n)]
         )
-        # cofactor expansion oracle
-        def cof(rows):
-            k = len(rows)
-            if k == 1:
-                return rows[0][0]
-            total = Fraction(0)
-            for j in range(k):
-                if rows[0][j]:
-                    minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
-                    total += (-1) ** j * rows[0][j] * cof(minor)
-            return total
-
-        assert det(m) == cof(m.row_list())
+        assert det(m) == cofactor_det(m.row_list())

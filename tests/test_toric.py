@@ -17,9 +17,10 @@ from crnlocus import (
     tree_constants,
 )
 from crnlocus.egraph import linkage_classes
+from crnlocus.toric import _exact_witness
 
 from fixture_graphs import g_cyc, g_in, g_k4, g_three_cycle, g_two_classes, g_two_vertex
-from oracles import enumerate_rooted_in_trees, numeric_toric_search
+from oracles import enumerate_rooted_in_trees, naive_exact_witness, numeric_toric_search
 
 
 class TestTreeConstants:
@@ -138,6 +139,26 @@ class TestIsToric:
         assert d.toric
         assert d.witness.mode == "exact"
         assert d.witness.x == (2, 1)
+
+    def test_exact_witness_matches_pairwise_elimination(self):
+        # rows = (s/d) A with A an integer matrix and ratios t^A: consistent,
+        # with solution t^(d/s), which is irrational unless t is a perfect
+        # s-th power; one ratio in five is doubled to break consistency.
+        rng = random.Random(12)
+        outcomes = set()
+        for _ in range(1200):
+            n, m = rng.randint(1, 4), rng.randint(1, 6)
+            s, d = rng.randint(1, 3), rng.randint(1, 3)
+            a = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(m)]
+            t = [Fraction(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(n)]
+            rows = [tuple(Fraction(s * x, d) for x in row) for row in a]
+            ratios = [math.prod((tj**x for tj, x in zip(t, row)), start=Fraction(1)) for row in a]
+            if rng.random() < 0.2:
+                ratios[rng.randrange(m)] *= 2
+            got = _exact_witness(rows, ratios, n)
+            assert got == naive_exact_witness(rows, ratios, n)
+            outcomes.add(got is None)
+        assert outcomes == {True, False}
 
     def test_scaling_invariance(self):
         rng = random.Random(3)
