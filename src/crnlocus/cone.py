@@ -25,9 +25,7 @@ from .equiv import (
     balance_matrix,
     balance_rows,
     j0_basis,
-    per_vertex_kernel,
     realize_with_diagnostic,
-    restrict_to_kernel,
     vertex_rows,
 )
 from .exactla import (
@@ -242,13 +240,12 @@ def cone_dimension(g1: EGraph, normals_at: Mapping[Vec, Sequence[Sequence[int]]]
     return g1.num_edges - len(rows)
 
 
-def _jr_tilde(g1: EGraph, g: EGraph) -> tuple[Subspace, bool]:
-    """The linear subspace underlying the cone, plus a balance-only flag.
+def _cone_subspace(g1: EGraph, g: EGraph) -> tuple[Subspace, bool]:
+    """The linear subspace underlying the cone, in canonical reduced
+    echelon form, plus the balance-only flag.
 
-    At each source vertex of g1 the local net vector must vanish when the
-    vertex is absent from g or has no out-edges there, and otherwise lie
-    in the span of g's outgoing directions, i.e. be orthogonal to the
-    complement of that span.
+    The subspace is the kernel of ``reduced_jr_rows``; canonicalizing it
+    fixes the basis that the simplex pivots on.
     """
     if g1.n != g.n:
         raise ValueError(f"ambient dimensions differ: {g1.n} vs {g.n}")
@@ -257,14 +254,9 @@ def _jr_tilde(g1: EGraph, g: EGraph) -> tuple[Subspace, bool]:
             "the realization-source graph must be weakly reversible; "
             "a non-weakly-reversible graph admits no positive balanced flux"
         )
-    normals_at = out_span_normals(g)
-    vectors: list[Vec] = []
-    for vi in range(g1.num_vertices):
-        if g1.out_edges[vi]:
-            vectors.extend(per_vertex_kernel(g1, vi, normals_at.get(g1.vertices[vi])))
-    per_vertex = subspace_from_span(vectors, g1.num_edges)
-    balance_only = per_vertex.dim == g1.num_edges
-    return restrict_to_kernel(per_vertex, balance_matrix(g1)), balance_only
+    rows, balance_only = reduced_jr_rows(g1, out_span_normals(g))
+    kernel = kernel_basis(RationalMatrix.from_rows(rows, cols=g1.num_edges))
+    return subspace_from_span(kernel.basis, g1.num_edges), balance_only
 
 
 def jr_subspace(g1: EGraph, g: EGraph) -> Subspace:
@@ -274,8 +266,7 @@ def jr_subspace(g1: EGraph, g: EGraph) -> Subspace:
     to the span of g's outgoing directions at shared vertices; per-vertex
     flux balance everywhere on g1.
     """
-    tilde, _ = _jr_tilde(g1, g)
-    return tilde
+    return _cone_subspace(g1, g)[0]
 
 
 def _cycle_flux(g1: EGraph) -> EdgeVector:
@@ -376,7 +367,7 @@ def jr_dimension(g1: EGraph, g: EGraph) -> ConeResult:
     exact simplex decides positivity.  Every witness is re-verified by
     the membership test before it is reported.
     """
-    tilde, balance_only = _jr_tilde(g1, g)
+    tilde, balance_only = _cone_subspace(g1, g)
     if balance_only:
         witness = _cycle_flux(g1)
         if not tilde.contains(witness.values):

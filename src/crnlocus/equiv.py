@@ -174,19 +174,6 @@ def mass_action_rhs(
     return tuple(acc)
 
 
-def d0_constraint_matrix(g: EGraph) -> RationalMatrix:
-    """Stacked per-vertex blocks whose kernel is D0(g): n rows per vertex."""
-    rows: list[list[Fraction]] = []
-    for vi in range(g.num_vertices):
-        block = [[_ZERO] * g.num_edges for _ in range(g.n)]
-        for ei in g.out_edges[vi]:
-            rv = g.reaction_vectors[ei]
-            for r in range(g.n):
-                block[r][ei] = rv[r]
-        rows.extend(block)
-    return RationalMatrix.from_rows(rows, cols=g.num_edges)
-
-
 def balance_rows(g: EGraph) -> list[list[int]]:
     """One row per vertex: incoming minus outgoing edge weights."""
     rows = [[0] * g.num_edges for _ in range(g.num_vertices)]
@@ -212,18 +199,15 @@ def _local_rows(
     return [[dot(c, rv) for rv in rvs] for c in normals]
 
 
-def per_vertex_kernel(
-    g: EGraph, vi: int, normals: Sequence[Sequence[Rat]] | None = None
-) -> list[Vec]:
-    """Basis of the weightings on vi's out-edges whose net vector is
-    orthogonal to ``normals`` (zero when ``normals`` is None), embedded in
-    the edge space of g.
+def per_vertex_kernel(g: EGraph, vi: int) -> list[Vec]:
+    """Basis of the weightings on vi's out-edges whose net vector is zero,
+    embedded in the edge space of g.
 
     Zero local rows are dropped; when none remain, every weighting
     qualifies and the unit vectors are returned without elimination.
     """
     out = g.out_edges[vi]
-    rows = [r for r in _local_rows(g, vi, normals) if any(r)]
+    rows = [r for r in _local_rows(g, vi) if any(r)]
     if not rows:
         return [tuple(_ONE if e == ei else _ZERO for e in range(g.num_edges)) for ei in out]
     basis = []

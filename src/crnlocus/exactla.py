@@ -75,17 +75,8 @@ class RationalMatrix:
             flat.extend(frac(x) for x in r)
         return RationalMatrix(len(rows), width, tuple(flat))
 
-    @staticmethod
-    def identity(n: int) -> "RationalMatrix":
-        return RationalMatrix(
-            n, n, tuple(_ONE if i == j else _ZERO for i in range(n) for j in range(n))
-        )
-
     def row(self, i: int) -> Vec:
         return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def row_list(self) -> list[list[Fraction]]:
-        return [list(self.row(i)) for i in range(self.rows)]
 
     def matvec(self, x: Sequence[Fraction]) -> Vec:
         """M x, skipping zero coefficients (constraint matrices are sparse)."""
@@ -99,11 +90,6 @@ class RationalMatrix:
                     acc += a * b
             out.append(acc)
         return tuple(out)
-
-    def stack(self, other: "RationalMatrix") -> "RationalMatrix":
-        if self.cols != other.cols:
-            raise ValueError("stack requires equal column counts")
-        return RationalMatrix(self.rows + other.rows, self.cols, self.entries + other.entries)
 
 
 def integer_rows(rows: Iterable[Sequence[Rat]]) -> list[list[int]]:
@@ -232,11 +218,10 @@ class Subspace:
 
 def subspace_from_span(vectors: Sequence[Sequence[Rat]], ambient: int) -> Subspace:
     """Subspace spanned by ``vectors``, with a canonical row-reduced basis."""
-    rows = [vec(v) for v in vectors if any(frac(x) != 0 for x in v)]
-    for r in rows:
-        if len(r) != ambient:
-            raise ValueError("vector length differs from ambient dimension")
-    a = integer_rows(rows)
+    rows = [vec(v) for v in vectors]
+    if any(len(r) != ambient for r in rows):
+        raise ValueError("vector length differs from ambient dimension")
+    a = integer_rows(r for r in rows if any(r))
     pivots, _ = bareiss(a, ambient, reduced=True)
     return Subspace(
         ambient,

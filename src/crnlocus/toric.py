@@ -5,9 +5,10 @@ exactly when the per-linkage-class tree constants K_i (rooted
 spanning-tree weight sums, computed as principal minors of the weighted
 out-Laplacian) are consistent with a positive state: x^(y_i - y_r) =
 K_i / K_r within each class.  Consistency of that log-linear system is
-decided exactly through multiplicative identities: for every rational
-kernel vector of the transposed exponent matrix, cleared to integers,
-the corresponding product of tree-constant ratios must equal one.
+decided exactly through multiplicative identities: for every integer
+combination of the relations that cancels their exponents (the zero
+rows of the one elimination that also builds the witness), the
+corresponding product of tree-constant ratios must equal one.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .exactla import (
     det,
     frac,
     integer_rows,
-    kernel_basis,
     orthogonalize,
     subspace_from_span,
     vec,
@@ -140,29 +140,6 @@ def _relation_system(g: EGraph, tc: TreeConstants) -> tuple[list[Vec], list[Frac
     return rows, ratios
 
 
-def _consistent(rows: list[Vec], ratios: list[Fraction]) -> bool:
-    """Exact consistency of sum_j row_ij * u_j = log(ratio_i).
-
-    The system is consistent iff every rational kernel vector of the
-    transposed row matrix, cleared to integers, satisfies the
-    multiplicative identity prod ratio_i^c_i = 1.
-    """
-    if not rows:
-        return True
-    mt = RationalMatrix.from_rows([[row[j] for row in rows] for j in range(len(rows[0]))],
-                                  cols=len(rows))
-    for c in kernel_basis(mt).basis:
-        scale = math.lcm(*(x.denominator for x in c))
-        prod = _ONE
-        for ci, ratio in zip(c, ratios):
-            e = int(ci * scale)
-            if e:
-                prod *= ratio**e
-        if prod != 1:
-            return False
-    return True
-
-
 def _int_nth_root(a: int, n: int) -> int | None:
     if a < 0:
         return None
@@ -191,16 +168,22 @@ def _fraction_nth_root(x: Fraction, n: int) -> Fraction | None:
     return Fraction(num, den)
 
 
-def _exact_witness(rows: list[Vec], ratios: list[Fraction], n: int) -> Vec | None:
-    """Try to solve x^rows = ratios in positive rationals (free coordinates 1).
+def _exact_witness(
+    rows: list[Vec], ratios: list[Fraction], n: int
+) -> tuple[bool, Vec | None]:
+    """Decide x^rows = ratios in positive reals, and try to solve it in
+    positive rationals (free coordinates 1).
 
     Integer row operations act multiplicatively on the ratios, so the
     elimination stays exact: an identity block appended to the integer
     rows records which integer combination of the original rows each
     eliminated row is, and its ratio is the matching product of powers.
+    The identity blocks of the rows whose exponents eliminate to zero
+    span the integer left kernel, so the system is consistent exactly
+    when each of those rows has ratio 1.
     A pivot with coefficient d needs an exact rational d-th root to
-    back-substitute, otherwise the exact path fails and the caller falls
-    back to floats.
+    back-substitute; without one the witness is None and the caller
+    falls back to floats.
     """
     m = len(rows)
     bases = [ratio ** math.lcm(*(x.denominator for x in row)) for row, ratio in zip(rows, ratios)]
@@ -221,7 +204,7 @@ def _exact_witness(rows: list[Vec], ratios: list[Fraction], n: int) -> Vec | Non
         return out
 
     if any(ratio_of(row) != 1 for row in work[len(pivots) :]):
-        return None  # inconsistent; caller should have checked already
+        return False, None
     x = [_ONE] * n
     for row, c in reversed(list(zip(work, pivots))):
         rhs = ratio_of(row)
@@ -230,9 +213,9 @@ def _exact_witness(rows: list[Vec], ratios: list[Fraction], n: int) -> Vec | Non
                 rhs /= x[j] ** row[j]
         root = _fraction_nth_root(rhs, row[c])
         if root is None:
-            return None
+            return True, None
         x[c] = root
-    return tuple(x)
+    return True, tuple(x)
 
 
 def is_toric(g: EGraph, k: EdgeVector) -> ToricDecision:
@@ -249,9 +232,9 @@ def is_toric(g: EGraph, k: EdgeVector) -> ToricDecision:
         return ToricDecision(False, reason="graph is not weakly reversible")
     tc = tree_constants(g, k)
     rows, ratios = _relation_system(g, tc)
-    if not _consistent(rows, ratios):
+    consistent, exact = _exact_witness(rows, ratios, g.n)
+    if not consistent:
         return ToricDecision(False, constants=tc, reason="tree-constant ratios are inconsistent")
-    exact = _exact_witness(rows, ratios, g.n)
     if exact is not None:
         return ToricDecision(True, witness=SteadyState(exact, "exact"), constants=tc)
     a = np.array([[float(x) for x in row] for row in rows], dtype=float)

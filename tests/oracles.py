@@ -1,7 +1,8 @@
 """Independent oracles: deliberately naive re-implementations used to
 cross-check the library's optimized paths.  Nothing here imports the
 functions it checks; ``basis_pair_terms`` checks the integer-rank scan
-against the library's exact-basis path.
+against exact bases, with the cone subspace from the monolithic
+construction ``monolithic_jr_subspace``.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import math
 import random
 from fractions import Fraction
 
-from crnlocus import EGraph, EdgeVector, jr_dimension
+from crnlocus import EGraph, EdgeVector, RationalMatrix, Subspace, positive_point
 from crnlocus.egraph import stoich_dim
 from crnlocus.equiv import d0_basis, j0_basis
 
@@ -76,14 +77,48 @@ def brute_wr_masks_up_to_size(g: EGraph, size: int) -> list[int]:
     return out
 
 
+def d0_constraint_matrix(g: EGraph) -> RationalMatrix:
+    """Stacked per-vertex blocks whose kernel is D0(g): n rows per vertex."""
+    rows: list[list[Fraction]] = []
+    for vi in range(g.num_vertices):
+        block = [[Fraction(0)] * g.num_edges for _ in range(g.n)]
+        for ei in g.out_edges[vi]:
+            rv = g.reaction_vectors[ei]
+            for r in range(g.n):
+                block[r][ei] = rv[r]
+        rows.extend(block)
+    return RationalMatrix.from_rows(rows, cols=g.num_edges)
+
+
+def monolithic_jr_subspace(g1: EGraph, g: EGraph) -> Subspace:
+    """The cone subspace as the naive kernel of every constraint row
+    stacked into one matrix: zero net vector at g1-vertices outside g or
+    without out-edges there, net vector orthogonal to the complement of
+    g's outgoing span at shared vertices, balance everywhere on g1."""
+    rows = []
+    for vi, coords in enumerate(g1.vertices):
+        dirs = []
+        if coords in g.coord_index:
+            dirs = [g.reaction_vectors[ei] for ei in g.out_edges[g.coord_index[coords]]]
+        units = [tuple(Fraction(r == i) for r in range(g.n)) for i in range(g.n)]
+        normals = naive_kernel(dirs, g.n) if dirs else units
+        for c in normals:
+            row = [Fraction(0)] * g1.num_edges
+            for ei in g1.out_edges[vi]:
+                row[ei] = sum((a * b for a, b in zip(c, g1.reaction_vectors[ei])), Fraction(0))
+            rows.append(row)
+    rows += [[Fraction((t == v) - (s == v)) for s, t in g1.edges] for v in range(g1.num_vertices)]
+    return Subspace(g1.num_edges, tuple(naive_kernel(rows, g1.num_edges)))
+
+
 def basis_pair_terms(g: EGraph, g1: EGraph) -> tuple:
     """(applicable, dim_jr, dim_s, dim_d0, dim_j0) of the pair bound for a
     weakly reversible g1, from exact bases rather than integer ranks:
-    ``d0_basis``, ``jr_dimension`` (cone subspace, simplex and verified
-    witness), ``stoich_dim`` and ``j0_basis``.  dim_jr is None when the
-    cone is empty; the other terms are given either way."""
-    cone = jr_dimension(g1, g)
-    applicable = cone.status == "nonempty"
+    ``monolithic_jr_subspace`` with ``positive_point`` for the cone,
+    ``stoich_dim``, ``d0_basis`` and ``j0_basis``.  dim_jr is None when
+    the cone is empty; the other terms are given either way."""
+    cone = monolithic_jr_subspace(g1, g)
+    applicable = positive_point(cone).feasible
     return (
         applicable,
         cone.dim if applicable else None,
@@ -91,6 +126,23 @@ def basis_pair_terms(g: EGraph, g1: EGraph) -> tuple:
         d0_basis(g).dim,
         j0_basis(g1).dim,
     )
+
+
+def naive_consistent(rows, ratios) -> bool:
+    """Exact consistency of sum_j row_ij * u_j = log(ratio_i): every vector
+    of the naive kernel of the transposed rows, cleared to integers,
+    must give prod ratio_i^c_i = 1."""
+    if not rows:
+        return True
+    transposed = [[Fraction(row[j]) for row in rows] for j in range(len(rows[0]))]
+    for c in naive_kernel(transposed, len(rows)):
+        scale = math.lcm(*(x.denominator for x in c))
+        prod = Fraction(1)
+        for ci, ratio in zip(c, ratios):
+            prod *= Fraction(ratio) ** int(ci * scale)
+        if prod != 1:
+            return False
+    return True
 
 
 def random_four_vertex_graph(rng: random.Random, n: int, den: int = 1) -> EGraph:

@@ -85,8 +85,8 @@ class TestBound:
         assert doc["report"]["capped_bound"] == 8
 
     def test_long_cycle_pair_exits_0(self, capsys, tmp_path):
-        # A balance-only cone over 300 edges: restrict_to_kernel on a
-        # 300 x 300 sparse system.
+        # A balance-only cone over 300 edges: the kernel of 300 sparse
+        # balance rows.
         f = tmp_path / "cycle.json"
         f.write_text(g_long_cycle(300).to_json())
         code, doc, _ = run_json(capsys, "bound", f, f)

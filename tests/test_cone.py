@@ -22,7 +22,7 @@ from crnlocus.exactla import combine, dot, subspace_from_span, vec
 from crnlocus.locus import canonical_j0_obasis
 
 from fixture_graphs import g_cyc, g_in, g_k4
-from oracles import random_positive_rational
+from oracles import monolithic_jr_subspace, random_positive_rational
 
 FIXTURE_PAIRS = [
     ("cyc->in", g_cyc(), g_in(), 1),
@@ -59,37 +59,11 @@ class TestJrSubspace:
 
     @pytest.mark.parametrize("name,g1,g,dim", FIXTURE_PAIRS)
     def test_matches_monolithic_construction(self, name, g1, g, dim):
-        # independent oracle: stack every constraint row into one matrix
-        # (zero net at absent vertices, complement-orthogonality at shared
-        # ones, balance everywhere) and take its kernel
-        from crnlocus import RationalMatrix, balance_matrix, kernel_basis
-        from crnlocus.exactla import dot as dot_
-
-        rows = []
-        for vi, coords in enumerate(g1.vertices):
-            if coords in g.coord_index:
-                gi = g.coord_index[coords]
-                dirs = [g.reaction_vectors[ei] for ei in g.out_edges[gi]]
-                if dirs:
-                    normals = kernel_basis(
-                        RationalMatrix.from_rows(dirs, cols=g.n)
-                    ).basis
-                else:
-                    normals = [
-                        tuple(Fraction(r == i) for r in range(g.n)) for i in range(g.n)
-                    ]
-            else:
-                normals = [
-                    tuple(Fraction(r == i) for r in range(g.n)) for i in range(g.n)
-                ]
-            for c in normals:
-                row = [Fraction(0)] * g1.num_edges
-                for ei in g1.out_edges[vi]:
-                    row[ei] = dot_(c, g1.reaction_vectors[ei])
-                rows.append(row)
-        full = RationalMatrix.from_rows(rows, cols=g1.num_edges).stack(balance_matrix(g1))
-        oracle = kernel_basis(full)
+        # The canonical basis, not just the span, is pinned: the simplex
+        # pivots on it, so it fixes every printed witness.
+        oracle = monolithic_jr_subspace(g1, g)
         assert oracle.spans_same(jr_subspace(g1, g))
+        assert jr_subspace(g1, g).basis == subspace_from_span(oracle.basis, g1.num_edges).basis
         assert oracle.dim == dim
 
 

@@ -16,12 +16,12 @@ from crnlocus import (
     solve_particular,
     subspace_from_span,
 )
-from crnlocus.equiv import d0_constraint_matrix
 from crnlocus.exactla import bareiss, dot, integer_rows, vec
 
 from fixture_graphs import g_k4
 from oracles import (
     cofactor_det,
+    d0_constraint_matrix,
     naive_kernel,
     naive_rref,
     naive_solve,
@@ -34,19 +34,23 @@ rationals = st.fractions(
 )
 
 
-def matrices(max_dim: int = 8):
+def row_lists(max_dim: int = 8):
     return st.integers(1, max_dim).flatmap(
         lambda r: st.integers(1, max_dim).flatmap(
             lambda c: st.lists(
                 st.lists(rationals, min_size=c, max_size=c), min_size=r, max_size=r
             )
         )
-    ).map(RationalMatrix.from_rows)
+    )
+
+
+def matrices(max_dim: int = 8):
+    return row_lists(max_dim).map(RationalMatrix.from_rows)
 
 
 class TestRank:
     def test_identity(self):
-        assert rank(RationalMatrix.identity(3)) == 3
+        assert rank(RationalMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])) == 3
 
     def test_dependent_rows(self):
         assert rank(RationalMatrix.from_rows([[1, 2], [2, 4]])) == 1
@@ -81,7 +85,7 @@ class TestKernel:
 
 class TestSolve:
     def test_identity_solve(self):
-        assert solve_particular(RationalMatrix.identity(2), [3, 4]) == vec([3, 4])
+        assert solve_particular(RationalMatrix.from_rows([[1, 0], [0, 1]]), [3, 4]) == vec([3, 4])
 
     def test_underdetermined_canonical(self):
         m = RationalMatrix.from_rows([[1, 1]])
@@ -160,12 +164,12 @@ def test_kernel_vectors_annihilate(m):
 
 
 @settings(max_examples=60, deadline=None)
-@given(matrices(), st.integers(0, 3))
-def test_reduced_bareiss_rows_are_rref_multiples(m, repeat):
+@given(row_lists(), st.integers(0, 3))
+def test_reduced_bareiss_rows_are_rref_multiples(rows, repeat):
     # Repeated rows make the matrix rank-deficient, so columns get skipped.
-    rows = m.row_list() + m.row_list()[:repeat]
+    rows = rows + rows[:repeat]
     a = integer_rows(rows)
-    pivots, _ = bareiss(a, m.cols, reduced=True)
+    pivots, _ = bareiss(a, len(rows[0]), reduced=True)
     rref, want_pivots = naive_rref(rows)
     assert pivots == want_pivots
     for got, want in zip(a, rref):
@@ -175,8 +179,8 @@ def test_reduced_bareiss_rows_are_rref_multiples(m, repeat):
     assert not any(any(row) for row in a[len(pivots):])
 
 
-def _assert_engine_matches_oracles(m: RationalMatrix, rhs) -> None:
-    rows = m.row_list()
+def _assert_engine_matches_oracles(rows, rhs) -> None:
+    m = RationalMatrix.from_rows(rows)
     rref, pivots = naive_rref(rows)
     assert rank(m) == len(pivots)
     assert kernel_basis(m).basis == tuple(naive_kernel(rows, m.cols))
@@ -188,24 +192,24 @@ def _assert_engine_matches_oracles(m: RationalMatrix, rhs) -> None:
 
 
 @settings(max_examples=60, deadline=None)
-@given(matrices(max_dim=6), st.data())
-def test_engine_matches_naive_oracles(m, data):
-    rhs = data.draw(st.lists(rationals, min_size=m.rows, max_size=m.rows))
-    _assert_engine_matches_oracles(m, rhs)
+@given(row_lists(max_dim=6), st.data())
+def test_engine_matches_naive_oracles(rows, data):
+    rhs = data.draw(st.lists(rationals, min_size=len(rows), max_size=len(rows)))
+    _assert_engine_matches_oracles(rows, rhs)
 
 
 def test_engine_matches_naive_oracles_on_seeded_kinds():
     rng = random.Random(8)
     for kind in ("sparse", "deficient", "negative", "swap"):
         for _ in range(250):
-            m = RationalMatrix.from_rows(random_engine_matrix(rng, kind))
+            rows = random_engine_matrix(rng, kind)
             # Half the right-hand sides lie in the column space.
             if rng.random() < 0.5:
-                x = [random_rational(rng) for _ in range(m.cols)]
-                rhs = m.matvec(x)
+                x = [random_rational(rng) for _ in range(len(rows[0]))]
+                rhs = RationalMatrix.from_rows(rows).matvec(x)
             else:
-                rhs = [random_rational(rng) for _ in range(m.rows)]
-            _assert_engine_matches_oracles(m, rhs)
+                rhs = [random_rational(rng) for _ in range(len(rows))]
+            _assert_engine_matches_oracles(rows, rhs)
 
 
 @settings(max_examples=60, deadline=None)
@@ -254,6 +258,13 @@ def test_coords_give_orthogonal_projection(rows, v):
         assert dot(residual, b) == 0
 
 
+def test_span_checks_length_of_zero_vectors():
+    with pytest.raises(ValueError):
+        subspace_from_span([[0, 0, 0]], 2)
+    with pytest.raises(ValueError):
+        subspace_from_span([[1, 0, 0]], 2)
+
+
 def test_subspace_rejects_dependent_basis():
     with pytest.raises(ValueError):
         Subspace(2, (vec([1, 1]), vec([2, 2])))
@@ -263,7 +274,5 @@ def test_det_cross_check_random():
     rng = random.Random(5)
     for _ in range(40):
         n = rng.randint(1, 4)
-        m = RationalMatrix.from_rows(
-            [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)] for _ in range(n)]
-        )
-        assert det(m) == cofactor_det(m.row_list())
+        rows = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)] for _ in range(n)]
+        assert det(RationalMatrix.from_rows(rows)) == cofactor_det(rows)

@@ -28,11 +28,16 @@ from crnlocus.cone import (
 )
 from crnlocus.egraph import complete_graph, edge_subgraph
 from crnlocus.equiv import d0_basis, d0_dimension, j0_basis, j0_dimension
-from crnlocus.exactla import combine, coords_in_basis, dot, vec
+from crnlocus.exactla import combine, coords_in_basis, dot, subspace_from_span, vec
 from crnlocus.locus import PsiDomainError
 
 from fixture_graphs import g_cyc, g_in, g_k4
-from oracles import basis_pair_terms, random_four_vertex_graph, random_positive_rational
+from oracles import (
+    basis_pair_terms,
+    monolithic_jr_subspace,
+    random_four_vertex_graph,
+    random_positive_rational,
+)
 
 PAIRS = [
     ("in,cyc", g_in(), g_cyc(), 1, 3),
@@ -438,6 +443,12 @@ class TestIntegerScan:
             sub = _subgraph(g, row.mask)
             applicable, dim_jr, dim_s, dim_d0, dim_j0 = basis_pair_terms(g, sub)
             assert (row.applicable, row.dim_jr) == (applicable, dim_jr), row
+            # The exact basis, not just the span: the simplex pivots on it,
+            # so it fixes the printed witnesses.
+            oracle = monolithic_jr_subspace(sub, g)
+            assert jr_subspace(sub, g).basis == subspace_from_span(
+                oracle.basis, sub.num_edges
+            ).basis, row
             assert j0_dimension(sub) == dim_j0, row
             if applicable:
                 raw = dim_jr + dim_s + dim_d0 - dim_j0

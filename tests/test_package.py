@@ -1,0 +1,63 @@
+"""Package hygiene: every module-level function and class in
+``src/crnlocus`` is used somewhere in the package or exported by it."""
+
+import ast
+from pathlib import Path
+
+import crnlocus
+
+SRC = Path(crnlocus.__file__).parent
+
+
+def _trees() -> dict[str, ast.Module]:
+    return {p.name: ast.parse(p.read_text(), filename=str(p)) for p in sorted(SRC.glob("*.py"))}
+
+
+def _exported(init: ast.Module) -> set[str]:
+    return {
+        alias.asname or alias.name
+        for node in init.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+
+
+def _references(tree: ast.Module, skip: ast.AST | None = None) -> set[str]:
+    """Names loaded or read as attributes in ``tree``, outside ``skip``."""
+    out: set[str] = set()
+    todo: list[ast.AST] = [tree]
+    while todo:
+        node = todo.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        todo.extend(ast.iter_child_nodes(node))
+    return out
+
+
+def unused_definitions() -> list[str]:
+    """``module.name`` for each top-level def or class that no other code
+    in the package refers to and ``__init__`` does not export."""
+    trees = _trees()
+    exported = _exported(trees["__init__.py"])
+    unused = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if node.name in exported:
+                continue
+            used = any(
+                node.name in _references(other, skip=node if other is tree else None)
+                for other in trees.values()
+            )
+            if not used:
+                unused.append(f"{module[:-3]}.{node.name}")
+    return unused
+
+
+def test_every_definition_is_used_or_exported():
+    assert unused_definitions() == []

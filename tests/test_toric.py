@@ -20,7 +20,13 @@ from crnlocus.egraph import linkage_classes
 from crnlocus.toric import _exact_witness
 
 from fixture_graphs import g_cyc, g_in, g_k4, g_three_cycle, g_two_classes, g_two_vertex
-from oracles import enumerate_rooted_in_trees, naive_exact_witness, numeric_toric_search
+from oracles import (
+    enumerate_rooted_in_trees,
+    naive_consistent,
+    naive_exact_witness,
+    naive_rref,
+    numeric_toric_search,
+)
 
 
 class TestTreeConstants:
@@ -144,8 +150,17 @@ class TestIsToric:
         # rows = (s/d) A with A an integer matrix and ratios t^A: consistent,
         # with solution t^(d/s), which is irrational unless t is a perfect
         # s-th power; one ratio in five is doubled to break consistency.
+        # Then systems whose rows are integer combinations of fewer base
+        # rows, so the elimination leaves zero rows that decide consistency.
         rng = random.Random(12)
         outcomes = set()
+
+        def check(rows, ratios, n):
+            consistent, got = _exact_witness(rows, ratios, n)
+            assert got == naive_exact_witness(rows, ratios, n)
+            assert consistent == naive_consistent(rows, ratios)
+            outcomes.add((consistent, got is None))
+
         for _ in range(1200):
             n, m = rng.randint(1, 4), rng.randint(1, 6)
             s, d = rng.randint(1, 3), rng.randint(1, 3)
@@ -155,10 +170,24 @@ class TestIsToric:
             ratios = [math.prod((tj**x for tj, x in zip(t, row)), start=Fraction(1)) for row in a]
             if rng.random() < 0.2:
                 ratios[rng.randrange(m)] *= 2
-            got = _exact_witness(rows, ratios, n)
-            assert got == naive_exact_witness(rows, ratios, n)
-            outcomes.add(got is None)
-        assert outcomes == {True, False}
+            check(rows, ratios, n)
+        assert outcomes == {(True, True), (True, False), (False, True)}
+
+        outcomes.clear()
+        for _ in range(400):
+            n, k = rng.randint(1, 4), rng.randint(1, 3)
+            m = k + rng.randint(1, 3)
+            base = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(k)]
+            combos = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(m)]
+            a = [[sum(c * b[j] for c, b in zip(combo, base)) for j in range(n)] for combo in combos]
+            t = [Fraction(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(n)]
+            rows = [tuple(Fraction(x) for x in row) for row in a]
+            ratios = [math.prod((tj**x for tj, x in zip(t, row)), start=Fraction(1)) for row in a]
+            if rng.random() < 0.4:
+                ratios[rng.randrange(m)] *= 3
+            assert len(naive_rref(rows)[1]) < m
+            check(rows, ratios, n)
+        assert {consistent for consistent, _ in outcomes} == {True, False}
 
     def test_scaling_invariance(self):
         rng = random.Random(3)
