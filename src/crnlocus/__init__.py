@@ -36,7 +36,6 @@ from .exactla import (
 from .equiv import (
     EdgeVector,
     VectorGraphMismatchError,
-    balance_matrix,
     d0_basis,
     edge_vector_from_json,
     is_dynamically_equivalent,

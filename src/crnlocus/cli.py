@@ -6,7 +6,8 @@ and the canonical edge order; --output json emits one JSON document.
 
 Exit codes: 0 success, 2 parse/validation error, 3 realization graph
 not weakly reversible, 4 enumeration limit exceeded, 5 vector/graph
-hash mismatch, 6 map domain violation.
+hash mismatch, 6 map domain violation, 7 an approximate value outside
+the floating-point range.
 """
 
 from __future__ import annotations
@@ -54,24 +55,21 @@ EXIT_NOT_WR = 3
 EXIT_ENUMERATION = 4
 EXIT_HASH_MISMATCH = 5
 EXIT_PSI_DOMAIN = 6
+EXIT_FLOAT_RANGE = 7
 
 
 @dataclass
 class RunConfig:
     output: str = "text"
     seed: int = 0
-    tol: float = 1e-10
     cap: int | None = None
 
     def header(self, command: str) -> str:
         cap = self.cap if self.cap is not None else "none"
-        return (
-            f"# crnlocus {command} — config: output={self.output} seed={self.seed} "
-            f"tol={self.tol} cap={cap}"
-        )
+        return f"# crnlocus {command} — config: output={self.output} seed={self.seed} cap={cap}"
 
     def to_json_dict(self) -> dict:
-        return {"output": self.output, "seed": self.seed, "tol": self.tol, "cap": self.cap}
+        return {"output": self.output, "seed": self.seed, "cap": self.cap}
 
 
 class _CliError(Exception):
@@ -332,7 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--output", choices=("text", "json"), default="text")
     parser.add_argument("--seed", type=int, default=0, help="seed echoed for reproducibility")
-    parser.add_argument("--tol", type=float, default=1e-10, help="approximate-mode tolerance")
     parser.add_argument("--cap", type=int, default=None, help="enumeration cap")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -370,7 +367,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.cap is not None and args.cap < 0:
         parser.error(f"argument --cap: must be nonnegative, got {args.cap}")
-    config = RunConfig(output=args.output, seed=args.seed, tol=args.tol, cap=args.cap)
+    config = RunConfig(output=args.output, seed=args.seed, cap=args.cap)
     try:
         return args.func(args, config)
     except _CliError as e:
@@ -379,6 +376,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except GraphValidationError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
+    except OverflowError as e:
+        print(f"error: value outside the floating-point range: {e}", file=sys.stderr)
+        return EXIT_FLOAT_RANGE
 
 
 if __name__ == "__main__":

@@ -22,10 +22,10 @@ from typing import Mapping, Sequence
 from .egraph import EGraph, NotWeaklyReversibleError, is_weakly_reversible
 from .equiv import (
     EdgeVector,
-    balance_matrix,
     balance_rows,
     j0_basis,
     realize_with_diagnostic,
+    vertex_imbalance,
     vertex_rows,
 )
 from .exactla import (
@@ -172,14 +172,14 @@ def positive_point(s: Subspace) -> PositivityResult:
 
 def balance_subspace(g: EGraph) -> Subspace:
     """Kernel of the per-vertex flux balance rows alone."""
-    return kernel_basis(balance_matrix(g))
+    return kernel_basis(RationalMatrix.from_rows(balance_rows(g), cols=g.num_edges))
 
 
 def is_complex_balanced_flux(g: EGraph, j: EdgeVector) -> bool:
     """Strictly positive flux with equal in- and out-flow at every vertex."""
     if not j.is_strictly_positive:
         return False
-    return all(x == 0 for x in balance_matrix(g).matvec(j.values))
+    return not any(vertex_imbalance(g, j.values))
 
 
 def out_span_normals(g: EGraph) -> dict[Vec, list[list[int]]]:
@@ -338,8 +338,7 @@ def membership_failure(g1: EGraph, g: EGraph, j: EdgeVector) -> str | None:
         raise ValueError("flux vector is indexed by a different graph")
     if not j.is_strictly_positive:
         raise ValueError("cone membership is defined for strictly positive fluxes")
-    residuals = balance_matrix(g1).matvec(j.values)
-    for vi, r in enumerate(residuals):
+    for vi, r in enumerate(vertex_imbalance(g1, j.values)):
         if r != 0:
             return (
                 f"per-vertex flux balance fails at vertex {vi} "

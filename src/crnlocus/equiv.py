@@ -183,9 +183,14 @@ def balance_rows(g: EGraph) -> list[list[int]]:
     return rows
 
 
-def balance_matrix(g: EGraph) -> RationalMatrix:
-    """The balance rows as an exact matrix."""
-    return RationalMatrix.from_rows(balance_rows(g), cols=g.num_edges)
+def vertex_imbalance(g: EGraph, flux: Sequence) -> list:
+    """Inflow minus outflow of an edge flux at every vertex: the balance
+    rows applied to the flux, without building them."""
+    out = [0] * g.num_vertices
+    for (s, t), f in zip(g.edges, flux, strict=True):
+        out[t] += f
+        out[s] -= f
+    return out
 
 
 def _local_rows(
@@ -271,8 +276,8 @@ def d0_basis(g: EGraph) -> Subspace:
     return subspace_from_span(vectors, g.num_edges)
 
 
-def restrict_to_kernel(sub: Subspace, constraints: RationalMatrix) -> Subspace:
-    """The subspace of ``sub`` annihilated by the constraint rows.
+def restrict_to_kernel(sub: Subspace, constraints: Sequence[Sequence[int]]) -> Subspace:
+    """The subspace of ``sub`` annihilated by the integer constraint rows.
 
     Entry (i, j) of the reduced system is constraint row i applied to
     basis vector j, summed only over the nonzero entries of the basis
@@ -280,12 +285,12 @@ def restrict_to_kernel(sub: Subspace, constraints: RationalMatrix) -> Subspace:
     """
     if not sub.basis:
         return sub
-    ncols = constraints.cols
-    column_entries: list[list[tuple[int, Fraction]]] = [[] for _ in range(ncols)]
-    for k, x in enumerate(constraints.entries):
-        if x:
-            column_entries[k % ncols].append((k // ncols, x))
-    reduced = [[_ZERO] * len(sub.basis) for _ in range(constraints.rows)]
+    column_entries: list[list[tuple[int, int]]] = [[] for _ in range(sub.ambient)]
+    for i, row in enumerate(constraints):
+        for e, x in enumerate(row):
+            if x:
+                column_entries[e].append((i, x))
+    reduced = [[_ZERO] * len(sub.basis) for _ in constraints]
     for j, b in enumerate(sub.basis):
         for e, x in enumerate(b):
             if x:
@@ -298,7 +303,7 @@ def restrict_to_kernel(sub: Subspace, constraints: RationalMatrix) -> Subspace:
 
 def j0_basis(g: EGraph) -> Subspace:
     """Canonical basis of J0(g) = D0(g) intersected with per-vertex flux balance."""
-    return restrict_to_kernel(d0_basis(g), balance_matrix(g))
+    return restrict_to_kernel(d0_basis(g), balance_rows(g))
 
 
 def realize_with_diagnostic(

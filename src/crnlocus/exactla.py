@@ -78,19 +78,6 @@ class RationalMatrix:
     def row(self, i: int) -> Vec:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
-    def matvec(self, x: Sequence[Fraction]) -> Vec:
-        """M x, skipping zero coefficients (constraint matrices are sparse)."""
-        if len(x) != self.cols:
-            raise ValueError("matvec dimension mismatch")
-        out = []
-        for i in range(self.rows):
-            acc = _ZERO
-            for a, b in zip(self.row(i), x):
-                if a:
-                    acc += a * b
-            out.append(acc)
-        return tuple(out)
-
 
 def integer_rows(rows: Iterable[Sequence[Rat]]) -> list[list[int]]:
     """Each row scaled by the lcm of its own denominators (row scaling keeps

@@ -14,14 +14,12 @@ corresponding product of tree-constant ratios must equal one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 from .egraph import EGraph, NotWeaklyReversibleError, is_weakly_reversible, linkage_classes
-from .equiv import EdgeVector, mass_action_rhs, state_power
+from .equiv import EdgeVector, mass_action_rhs, state_power, vertex_imbalance
 from .exactla import (
     RationalMatrix,
     Vec,
@@ -30,6 +28,7 @@ from .exactla import (
     frac,
     integer_rows,
     orthogonalize,
+    solve_particular,
     subspace_from_span,
     vec,
 )
@@ -41,6 +40,7 @@ _ONE = Fraction(1)
 NEWTON_GRAD_TOL = 1e-12
 NEWTON_MAX_ITER = 200
 CB_REL_TOL = 1e-10
+ODE_DT_MIN = 1e-9
 
 
 class ConvergenceError(RuntimeError):
@@ -168,11 +168,17 @@ def _fraction_nth_root(x: Fraction, n: int) -> Fraction | None:
     return Fraction(num, den)
 
 
-def _exact_witness(
-    rows: list[Vec], ratios: list[Fraction], n: int
-) -> tuple[bool, Vec | None]:
-    """Decide x^rows = ratios in positive reals, and try to solve it in
-    positive rationals (free coordinates 1).
+def _log(v) -> float:
+    """Natural log; of a rational as log(numerator) - log(denominator),
+    which is finite where the float of the rational would overflow."""
+    if isinstance(v, (int, Fraction)):
+        return math.log(v.numerator) - math.log(v.denominator)
+    return math.log(v)
+
+
+def _exact_witness(rows: list[Vec], ratios: list[Fraction], n: int) -> SteadyState | None:
+    """Decide x^rows = ratios in positive reals and solve it with free
+    coordinates 1; None when the system is inconsistent.
 
     Integer row operations act multiplicatively on the ratios, so the
     elimination stays exact: an identity block appended to the integer
@@ -182,8 +188,9 @@ def _exact_witness(
     span the integer left kernel, so the system is consistent exactly
     when each of those rows has ratio 1.
     A pivot with coefficient d needs an exact rational d-th root to
-    back-substitute; without one the witness is None and the caller
-    falls back to floats.
+    back-substitute.  When some pivot has none, the same echelon rows are
+    back-substituted in logs and the witness is approximate; its floats
+    raise OverflowError when a coordinate leaves the floating-point range.
     """
     m = len(rows)
     bases = [ratio ** math.lcm(*(x.denominator for x in row)) for row, ratio in zip(rows, ratios)]
@@ -204,18 +211,27 @@ def _exact_witness(
         return out
 
     if any(ratio_of(row) != 1 for row in work[len(pivots) :]):
-        return False, None
+        return None
+    echelon = [(row, c, ratio_of(row)) for row, c in reversed(list(zip(work, pivots)))]
     x = [_ONE] * n
-    for row, c in reversed(list(zip(work, pivots))):
-        rhs = ratio_of(row)
+    for row, c, rhs in echelon:
         for j in range(c + 1, n):
             if row[j]:
                 rhs /= x[j] ** row[j]
         root = _fraction_nth_root(rhs, row[c])
         if root is None:
-            return True, None
+            break
         x[c] = root
-    return True, tuple(x)
+    else:
+        return SteadyState(tuple(x), "exact")
+    logs = [0.0] * n
+    for row, c, ratio in echelon:
+        known = sum(row[j] * logs[j] for j in range(c + 1, n) if row[j])
+        logs[c] = (_log(ratio) - known) / row[c]
+    approx = tuple(math.exp(v) for v in logs)
+    if not all(approx):
+        raise OverflowError("witness coordinate below the floating-point range")
+    return SteadyState(approx, "approximate")
 
 
 def is_toric(g: EGraph, k: EdgeVector) -> ToricDecision:
@@ -223,85 +239,76 @@ def is_toric(g: EGraph, k: EdgeVector) -> ToricDecision:
 
     The decision itself is exact for any rational data.  The witness
     state is exact when back-substitution stays rational (always when
-    every pivot has coefficient +-1), and a floating least-squares
-    solution flagged "approximate" otherwise.
+    every pivot has coefficient +-1), and otherwise the log-space
+    back-substitution of the same elimination, flagged "approximate"
+    with its relative balance residual.
     """
     if not k.is_strictly_positive:
         raise ValueError("toric membership is defined for strictly positive rates")
     if not is_weakly_reversible(g):
         return ToricDecision(False, reason="graph is not weakly reversible")
     tc = tree_constants(g, k)
-    rows, ratios = _relation_system(g, tc)
-    consistent, exact = _exact_witness(rows, ratios, g.n)
-    if not consistent:
+    witness = _exact_witness(*_relation_system(g, tc), g.n)
+    if witness is None:
         return ToricDecision(False, constants=tc, reason="tree-constant ratios are inconsistent")
-    if exact is not None:
-        return ToricDecision(True, witness=SteadyState(exact, "exact"), constants=tc)
-    a = np.array([[float(x) for x in row] for row in rows], dtype=float)
-    b = np.array([math.log(float(r)) for r in ratios], dtype=float)
-    u, *_ = np.linalg.lstsq(a, b, rcond=None)
-    x = tuple(float(v) for v in np.exp(u))
-    res = _cb_relative_residual(g, k, x)
-    return ToricDecision(True, witness=SteadyState(x, "approximate", residual=res), constants=tc)
-
-
-def _vertex_flows(g: EGraph, k: EdgeVector, x: Sequence, exact: bool):
-    powers = [state_power(x, v, exact) for v in g.vertices]
-    outs = []
-    ins = []
-    for vi in range(g.num_vertices):
-        out = sum(k.values[ei] * powers[vi] for ei in g.out_edges[vi])
-        inc = sum(k.values[ei] * powers[g.edges[ei][0]] for ei in g.in_edges[vi])
-        outs.append(out)
-        ins.append(inc)
-    return outs, ins
+    if witness.mode == "approximate":
+        witness = replace(witness, residual=_cb_relative_residual(g, k, witness.x))
+    return ToricDecision(True, witness=witness, constants=tc)
 
 
 def _cb_relative_residual(g: EGraph, k: EdgeVector, x: Sequence) -> float:
-    outs, ins = _vertex_flows(g, k, x, exact=False)
+    """Largest per-vertex |inflow - outflow| / max(inflow, outflow).
+
+    Each flux k_e x^y is taken in logs and every vertex's terms are scaled
+    by its largest one, so rates and states beyond the floating-point
+    range still give a finite residual.
+    """
+    logx = [_log(v) for v in x]
+    logflux = [
+        _log(kv) + sum(float(y) * lx for y, lx in zip(g.vertices[s], logx) if y)
+        for kv, (s, _) in zip(k.values, g.edges)
+    ]
     worst = 0.0
-    for o, i in zip(outs, ins):
-        scale = max(abs(o), abs(i), 1e-300)
-        worst = max(worst, abs(o - i) / scale)
+    for out, inc in zip(g.out_edges, g.in_edges):  # no vertex is isolated
+        top = max(logflux[ei] for ei in out + inc)
+        o = sum(math.exp(logflux[ei] - top) for ei in out)
+        i = sum(math.exp(logflux[ei] - top) for ei in inc)
+        worst = max(worst, abs(o - i) / max(o, i))
     return worst
 
 
-def check_complex_balanced_at(
-    g: EGraph, k: EdgeVector, x: Sequence, rel_tol: float = CB_REL_TOL
-) -> bool:
-    """Per-vertex inflow equals outflow at state x.
+def check_complex_balanced_at(g: EGraph, k: EdgeVector, x: Sequence) -> bool:
+    """Per-vertex inflow equals outflow at state x, for strictly positive rates.
 
     Exact comparison when the vertex coordinates are integers and both k
-    and x are rational; otherwise a relative-tolerance check.
+    and x are rational; otherwise the relative residual is held to
+    CB_REL_TOL.
     """
+    if not k.is_strictly_positive:
+        raise ValueError("complex balance is defined for strictly positive rates")
     for xi in x:
         if not (xi > 0):
             raise ValueError("state must be strictly positive")
     exact = g.has_integer_coordinates() and all(isinstance(v, (int, Fraction)) for v in x)
     if exact:
-        outs, ins = _vertex_flows(g, k, x, exact=True)
-        return all(o == i for o, i in zip(outs, ins))
-    return _cb_relative_residual(g, k, x) <= rel_tol
+        flux = [kv * state_power(x, g.vertices[s], True) for kv, (s, _) in zip(k.values, g.edges)]
+        return not any(vertex_imbalance(g, flux))
+    return _cb_relative_residual(g, k, x) <= CB_REL_TOL
 
 
-def _entropy(x: np.ndarray, xstar: np.ndarray) -> float:
-    return float(np.sum(x * (np.log(x) - np.log(xstar) - 1.0)))
-
-
-def birch_point(
-    g: EGraph,
-    xstar: Sequence,
-    x0: Sequence,
-    grad_tol: float = NEWTON_GRAD_TOL,
-    max_iter: int = NEWTON_MAX_ITER,
-) -> SteadyState:
+def birch_point(g: EGraph, xstar: Sequence, x0: Sequence) -> SteadyState:
     """The unique positive point of x0's affine class with log x - log x* orthogonal
     to the stoichiometric subspace.
 
     When x* already lies in x0's class (checked exactly for rational
     inputs), it is returned unchanged in exact mode.  Otherwise a damped
-    Newton iteration minimizes sum x_i (ln x_i - ln x*_i - 1) over the
-    class, which is strictly convex with gradient ln x - ln x*.
+    Newton iteration minimizes the Lyapunov function
+    sum x_i (ln x_i - ln x*_i - 1) over the class, which is strictly
+    convex with gradient ln x - ln x*.  Each Newton system is solved
+    exactly on the rational values of its float entries, and a step is
+    accepted by an Armijo test on the Newton decrement, with an allowance
+    for the rounding of the function itself, so steps near the minimum
+    are never all rejected.
     """
     if len(xstar) != g.n or len(x0) != g.n:
         raise ValueError("state length differs from ambient dimension")
@@ -317,40 +324,41 @@ def birch_point(
     if s_basis.dim == 0:
         return SteadyState(tuple(float(v) for v in x0), "approximate", residual=0.0)
 
-    ortho = orthogonalize(s_basis)
-    basis = np.array([[float(v) for v in b] for b in ortho.basis], dtype=float).T  # n x s
-    xs = np.array([float(v) for v in xstar], dtype=float)
-    x = np.array([float(v) for v in x0], dtype=float)
-    log_xs = np.log(xs)
-    h = _entropy(x, xs)
-    for _ in range(max_iter):
-        grad_full = np.log(x) - log_xs
-        grad = basis.T @ grad_full
-        if float(np.max(np.abs(grad))) <= grad_tol:
-            return SteadyState(
-                tuple(float(v) for v in x), "approximate",
-                residual=float(np.max(np.abs(grad))),
-            )
-        hess = basis.T @ (basis / x[:, None])
-        step = np.linalg.solve(hess, -grad)
-        dx = basis @ step
+    basis = [[float(v) for v in b] for b in orthogonalize(s_basis).basis]
+    xs = [float(v) for v in xstar]
+    x = [float(v) for v in x0]
+    log_xs = [math.log(v) for v in xs]
+    h = lyapunov_value(x, xs)
+    for _ in range(NEWTON_MAX_ITER):
+        gap = [math.log(a) - b for a, b in zip(x, log_xs)]
+        grad = [sum(p * q for p, q in zip(b, gap)) for b in basis]
+        size = max(abs(v) for v in grad)
+        if size <= NEWTON_GRAD_TOL:
+            return SteadyState(tuple(x), "approximate", residual=size)
+        hess = [[sum(p * q / a for p, q, a in zip(b, c, x)) for c in basis] for b in basis]
+        step = solve_particular(
+            RationalMatrix.from_rows([[Fraction(v) for v in row] for row in hess]),
+            [Fraction(-v) for v in grad],
+        )
+        if step is None:
+            raise ConvergenceError("singular Newton system", tuple(x))
+        step = [float(v) for v in step]
+        decrement = -sum(p * q for p, q in zip(grad, step))
+        dx = [sum(t * b[i] for t, b in zip(step, basis)) for i in range(g.n)]
+        slack = 1e-15 * sum(abs(a * (d - 1.0)) for a, d in zip(x, gap))
         alpha = 1.0
         for _ in range(80):
-            trial = x + alpha * dx
-            if np.all(trial > 0):
-                trial_h = _entropy(trial, xs)
-                if trial_h <= h + 1e-18:
-                    x = trial
-                    h = trial_h
+            trial = [a + alpha * d for a, d in zip(x, dx)]
+            if all(v > 0 for v in trial):
+                trial_h = lyapunov_value(trial, xs)
+                if trial_h <= h - 1e-4 * alpha * decrement + slack:
+                    x, h = trial, trial_h
                     break
             alpha *= 0.5
         else:
-            raise ConvergenceError(
-                "line search failed to make progress", tuple(float(v) for v in x)
-            )
+            raise ConvergenceError("line search failed to make progress", tuple(x))
     raise ConvergenceError(
-        f"no convergence within {max_iter} Newton iterations",
-        tuple(float(v) for v in x),
+        f"no convergence within {NEWTON_MAX_ITER} Newton iterations", tuple(x)
     )
 
 
@@ -360,12 +368,12 @@ def ode_trajectory(
     x0: Sequence,
     t_end: float,
     dt: float,
-    dt_min: float = 1e-9,
 ) -> list[tuple[float, tuple[float, ...]]]:
     """Classical fixed-step RK4 sampling of the mass-action dynamics.
 
     A step that leaves the positive orthant is rejected and retried with
-    a halved step; below dt_min the integration aborts.
+    a halved step; below ODE_DT_MIN the integration aborts.  Every step
+    starts again from dt.
     """
     for v in x0:
         if not (v > 0):
@@ -408,8 +416,7 @@ def ode_trajectory(
             if nxt is not None:
                 break
             step *= 0.5
-            dt = step
-            if step < dt_min:
+            if step < ODE_DT_MIN:
                 raise ConvergenceError("step size collapsed below dt_min", x)
         x = nxt
         t += step

@@ -171,6 +171,15 @@ def direct_net_vectors(g: EGraph, values) -> dict:
     return out
 
 
+def matvec(m: RationalMatrix, x) -> tuple[Fraction, ...]:
+    """M x by direct summation over every entry."""
+    if len(x) != m.cols:
+        raise ValueError("matvec dimension mismatch")
+    return tuple(
+        sum((a * Fraction(b) for a, b in zip(m.row(i), x)), Fraction(0)) for i in range(m.rows)
+    )
+
+
 def direct_flux_imbalance(g: EGraph, values) -> list[Fraction]:
     """Per-vertex inflow minus outflow by direct summation over the edge list."""
     out = [Fraction(0)] * g.num_vertices

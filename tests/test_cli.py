@@ -1,9 +1,14 @@
 import json
+import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from crnlocus import parse_egraph
+import crnlocus
+from crnlocus import EGraph, EdgeVector, parse_egraph
 from crnlocus.cli import main
 
 from fixture_graphs import g_long_cycle
@@ -165,6 +170,21 @@ class TestCheck:
         assert code == 0
         assert doc["verdict"] is True
 
+    def test_toric_rates_beyond_float_range(self, capsys, tmp_path):
+        g = EGraph(1, [(0,), (2,)], [(0, 1), (1, 0)])
+        gf, kf = tmp_path / "g.json", tmp_path / "k.json"
+        gf.write_text(json.dumps(g.to_json_dict()))
+        kf.write_text(EdgeVector(g, [2 * 10**400, 1]).to_json())
+        code, doc, _ = run_json(capsys, "check", "toric", gf, kf)
+        assert code == 0 and doc["verdict"] is True
+        assert doc["witness"]["mode"] == "approximate"
+        assert math.isfinite(doc["witness"]["residual"])
+        # a witness coordinate of about 10^400 has no float
+        kf.write_text(EdgeVector(g, [2 * 10**800, 1]).to_json())
+        code, out, err = run(capsys, "check", "toric", gf, kf)
+        assert code == 7 and out == ""
+        assert "floating-point range" in err
+
     def test_cb_flux_on_g_in_false_with_note(self, capsys):
         code, doc, _ = run_json(
             capsys, "check", "cb-flux", DATA / "g_in.json", DATA / "in_uniform1.json"
@@ -245,9 +265,13 @@ class TestEnumerateWR:
 
 
 def test_seed_and_tol_echoed(capsys):
-    code, out, _ = run(capsys, "--seed", "7", "--tol", "1e-9", "analyze", DATA / "g_cyc.json")
+    code, out, _ = run(capsys, "--seed", "7", "analyze", DATA / "g_cyc.json")
     assert code == 0
-    assert "seed=7" in out and "tol=1e-09" in out
+    assert "seed=7" in out
+    # --tol reached no computation and was removed
+    with pytest.raises(SystemExit) as exc:
+        main(["--tol", "1e-9", "analyze", str(DATA / "g_cyc.json")])
+    assert exc.value.code == 2
 
 
 class TestCap:
@@ -282,3 +306,46 @@ class TestDeepJson:
         code, _, err = run(capsys, "check", "cb-flux", DATA / "g_k4.json", deep)
         assert code == 2
         assert "nesting exceeds the parser's depth limit" in err
+
+
+def test_runs_without_numpy(tmp_path):
+    # an approximate toric witness (it needs sqrt 2) and a Birch point by
+    # Newton, in interpreters where importing numpy fails
+    g = EGraph(2, [(0, 0), (2, 0)], [(0, 1), (1, 0)])
+    pair = EGraph(2, [(1, 0), (0, 1)], [(0, 1), (1, 0)])
+    files = {
+        "g.json": g.to_json_dict(),
+        "k.json": EdgeVector(g, [2, 1]).to_json_dict(),
+        "pair.json": pair.to_json_dict(),
+        "inv.json": {
+            "k": EdgeVector.uniform(pair).to_json_dict(),
+            "k1": EdgeVector.uniform(pair).to_json_dict(),
+            "q_hat": [],
+            "x0": [3, "1/2"],
+        },
+    }
+    for name, doc in files.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    script = (
+        "import sys; sys.modules['numpy'] = None; "
+        "from crnlocus.cli import main; sys.exit(main(sys.argv[1:]))"
+    )
+    src = str(Path(crnlocus.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+    def cli(*argv):
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "--output", "json", *(str(a) for a in argv)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    toric = cli("check", "toric", tmp_path / "g.json", tmp_path / "k.json")
+    assert toric["verdict"] is True and toric["witness"]["mode"] == "approximate"
+    assert math.isclose(toric["witness"]["x"][0], math.sqrt(2), rel_tol=1e-12)
+    pair_file = tmp_path / "pair.json"
+    x = cli("psi", "inverse", pair_file, pair_file, tmp_path / "inv.json")["result"]["x"]
+    assert x["mode"] == "approximate"
+    assert all(math.isclose(v, 1.75, rel_tol=1e-10) for v in x["x"])
+    assert cli("check", "toric", DATA / "g_k4.json", DATA / "k4_uniform1.json")["verdict"] is True

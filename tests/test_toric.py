@@ -156,10 +156,19 @@ class TestIsToric:
         outcomes = set()
 
         def check(rows, ratios, n):
-            consistent, got = _exact_witness(rows, ratios, n)
-            assert got == naive_exact_witness(rows, ratios, n)
-            assert consistent == naive_consistent(rows, ratios)
-            outcomes.add((consistent, got is None))
+            witness = _exact_witness(rows, ratios, n)
+            want = naive_exact_witness(rows, ratios, n)
+            consistent = naive_consistent(rows, ratios)
+            assert (witness is not None) == consistent
+            if want is not None:
+                assert witness.mode == "exact" and witness.x == want
+            elif consistent:
+                # no rational root at some pivot: the log back-substitution
+                assert witness.mode == "approximate"
+                for row, ratio in zip(rows, ratios):
+                    value = math.prod(v ** float(e) for v, e in zip(witness.x, row))
+                    assert abs(value - float(ratio)) <= 1e-9 * float(ratio)
+            outcomes.add((consistent, want is None))
 
         for _ in range(1200):
             n, m = rng.randint(1, 4), rng.randint(1, 6)
@@ -188,6 +197,23 @@ class TestIsToric:
             assert len(naive_rref(rows)[1]) < m
             check(rows, ratios, n)
         assert {consistent for consistent, _ in outcomes} == {True, False}
+
+    def test_rates_beyond_float_range(self):
+        # K1/K0 = 2*10^400 has no rational square root; the witness
+        # sqrt(2)*10^200 is a float, and so is its balance residual
+        g = EGraph(1, [(0,), (2,)], [(0, 1), (1, 0)])
+        k = EdgeVector(g, [2 * 10**400, 1])
+        d = is_toric(g, k)
+        assert d.toric and d.witness.mode == "approximate"
+        assert math.isclose(d.witness.x[0], math.sqrt(2) * 1e200, rel_tol=1e-12)
+        assert math.isfinite(d.witness.residual) and d.witness.residual <= 1e-10
+        assert check_complex_balanced_at(g, k, d.witness.x)
+
+    def test_witness_outside_float_range_raises_overflow(self):
+        g = EGraph(1, [(0,), (2,)], [(0, 1), (1, 0)])
+        for rates in ([2 * 10**800, 1], [1, 2 * 10**800]):
+            with pytest.raises(OverflowError):
+                is_toric(g, EdgeVector(g, rates))
 
     def test_scaling_invariance(self):
         rng = random.Random(3)
@@ -284,6 +310,21 @@ class TestBirchPoint:
         with pytest.raises(ValueError):
             birch_point(g_cyc(), (1, 1), (0, 1))
 
+    def test_no_stall_near_the_minimum(self):
+        # Witness and base state of a psi inverse input on which a line
+        # search that allowed no rise above rounding stalled.  birch_point
+        # sees the graph only through S, here the plane sum(x) = 0 as in
+        # the 24-edge network that input came from.
+        g = EGraph(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)], [(0, 1), (1, 2), (2, 0)])
+        xstar = (Fraction(1, 16), Fraction(1, 4), Fraction(1))
+        x0 = (Fraction(9, 4), Fraction(9, 4), Fraction(1, 4))
+        bp = birch_point(g, xstar, x0)
+        assert bp.mode == "approximate" and bp.residual <= 1e-12
+        assert math.isclose(sum(bp.x), 4.75, rel_tol=1e-12)
+        # log x - log x* is orthogonal to S: x is a multiple of x*
+        scale = bp.x[2] / float(xstar[2])
+        assert all(math.isclose(v, scale * float(w), rel_tol=1e-10) for v, w in zip(bp.x, xstar))
+
 
 class TestOdeTrajectory:
     def test_steady_start_stays(self):
@@ -315,6 +356,13 @@ class TestOdeTrajectory:
         assert len(traj) > 10
         for _, x in traj:
             assert all(v > 0 for v in x)
+
+    def test_step_grows_back_after_rejection(self):
+        # x' = 1 - x: from x = 10 a step of 1.5 leaves the orthant and is
+        # halved once; from there on full steps of 1.5 stay positive
+        g = EGraph(1, [(0,), (1,)], [(0, 1), (1, 0)])
+        traj = ode_trajectory(g, EdgeVector.uniform(g), (10.0,), t_end=3.75, dt=1.5)
+        assert [t for t, _ in traj] == [0.0, 0.75, 2.25, 3.75]
 
     def test_positivity_loss_aborts(self):
         # constant drift toward the boundary: x' = -1 regardless of state
