@@ -6,11 +6,19 @@ g1 whose vector field is expressible on g with sign-unrestricted
 weights.  That cone is the intersection of a linear subspace (assembled
 here row by row) with the open positive orthant, so its dimension is
 the subspace dimension when a strictly positive point exists and zero
-otherwise.  Positivity is decided by an exact rational phase-1 simplex
-with Bland's rule; emptiness comes with a nonnegative certificate
-vector orthogonal to the subspace.  When only the dimension and the
-verdict are needed, ``cone_dimension`` reads both off one integer
-elimination and runs the simplex only when that does not decide.
+otherwise.
+
+The scan (``cone_dimension``) and the report (``jr_dimension``) decide
+every cone in one order, from the rows of one integer elimination.  A
+system of balance rows alone is nonempty because g1 is weakly
+reversible; the report's witness sums, over the edges s -> t, the cycles
+closed through the smallest vertex of the strongly connected component
+by a BFS in-tree (t -> root) and out-tree (root -> s), in linear time.
+A sign-definite row certifies emptiness by its absolute values.  Else an
+exact rational phase-1 simplex with Bland's rule decides on the
+canonical reduced echelon basis of the subspace, and its dual certifies
+emptiness.  Every certificate is checked nonnegative, nonzero and
+orthogonal to that basis.
 """
 
 from __future__ import annotations
@@ -38,6 +46,7 @@ from .exactla import (
     integer_rows,
     kernel_basis,
     subspace_from_span,
+    vec,
 )
 from .jsonutil import rationals_to_json
 
@@ -49,15 +58,14 @@ _ONE = Fraction(1)
 class PositivityResult:
     """Outcome of the strictly-positive-point search in a subspace.
 
-    Feasible: ``point`` lies in the subspace with every entry >= 1 and
-    ``coefficients`` are its basis coordinates.  Infeasible:
-    ``certificate`` is a nonnegative, nonzero vector orthogonal to every
-    basis vector, which rules out any strictly positive point.
+    Feasible: ``point`` lies in the subspace with every entry >= 1.
+    Infeasible: ``certificate`` is a nonnegative, nonzero vector
+    orthogonal to every basis vector, which rules out any strictly
+    positive point.
     """
 
     feasible: bool
     point: Vec | None = None
-    coefficients: Vec | None = None
     certificate: Vec | None = None
 
 
@@ -155,18 +163,21 @@ def positive_point(s: Subspace) -> PositivityResult:
         row[2 * m + i] = -_ONE
         rows.append(row)
     value, u, y = _phase1_simplex(rows, nvars)
-    if value == 0:
-        coeffs = tuple(u[j] - u[m + j] for j in range(m))
-        point = combine(coeffs, s.basis, d)
-        if any(p < 1 for p in point):
-            raise RuntimeError("simplex returned an invalid feasible point")
-        return PositivityResult(feasible=True, point=point, coefficients=coeffs)
-    cert = tuple(y)
-    if any(c < 0 for c in cert) or all(c == 0 for c in cert):
-        raise RuntimeError("simplex infeasibility certificate is not nonnegative/nonzero")
-    for b in s.basis:
-        if dot(cert, b) != 0:
-            raise RuntimeError("simplex infeasibility certificate is not orthogonal to the span")
+    if value != 0:
+        return _certified_empty(tuple(y), s)
+    point = combine([u[j] - u[m + j] for j in range(m)], s.basis, d)
+    if any(p < 1 for p in point):
+        raise RuntimeError("simplex returned an invalid feasible point")
+    return PositivityResult(feasible=True, point=point)
+
+
+def _certified_empty(cert: Vec, s: Subspace) -> PositivityResult:
+    """The infeasible result, once ``cert`` is checked to be a nonnegative,
+    nonzero vector orthogonal to every basis vector of s."""
+    if any(c < 0 for c in cert) or not any(cert):
+        raise RuntimeError("infeasibility certificate is not nonnegative/nonzero")
+    if any(dot(cert, b) for b in s.basis):
+        raise RuntimeError("infeasibility certificate is not orthogonal to the span")
     return PositivityResult(feasible=False, certificate=cert)
 
 
@@ -222,31 +233,29 @@ def farkas_row(rows: Sequence[Sequence[int]]) -> Sequence[int] | None:
     return next((r for r in rows if any(r) and (min(r) >= 0 or max(r) <= 0)), None)
 
 
+def _cone_basis(rows: list[list[int]], nedges: int) -> Subspace:
+    """The canonical reduced echelon basis of the kernel of ``rows``: the
+    one basis the simplex pivots on, in the scan and in the report."""
+    kernel = kernel_basis(RationalMatrix.from_rows(rows, cols=nedges))
+    return subspace_from_span(kernel.basis, nedges)
+
+
 def cone_dimension(g1: EGraph, normals_at: Mapping[Vec, Sequence[Sequence[int]]]) -> int | None:
     """Dimension of the cone of the weakly reversible g1 against the target
-    whose ``out_span_normals`` are given, or None when the cone is empty.
-
-    Decided exactly from one integer elimination: a balance-only system
-    is nonempty because g1 is weakly reversible, a sign-definite row is
-    a certificate of emptiness, and the simplex decides the rest.
-    """
+    whose ``out_span_normals`` are given, or None when the cone is empty:
+    the decision of ``jr_dimension``, with no witness or certificate, so
+    with no basis unless the simplex runs."""
     rows, balance_only = reduced_jr_rows(g1, normals_at)
-    if not balance_only:
-        if farkas_row(rows) is not None:
-            return None
-        kernel = kernel_basis(RationalMatrix.from_rows(rows, cols=g1.num_edges))
-        if not positive_point(kernel).feasible:
-            return None
-    return g1.num_edges - len(rows)
+    if balance_only or (
+        farkas_row(rows) is None and positive_point(_cone_basis(rows, g1.num_edges)).feasible
+    ):
+        return g1.num_edges - len(rows)
+    return None
 
 
-def _cone_subspace(g1: EGraph, g: EGraph) -> tuple[Subspace, bool]:
-    """The linear subspace underlying the cone, in canonical reduced
-    echelon form, plus the balance-only flag.
-
-    The subspace is the kernel of ``reduced_jr_rows``; canonicalizing it
-    fixes the basis that the simplex pivots on.
-    """
+def _cone_rows(g1: EGraph, g: EGraph) -> tuple[list[list[int]], bool]:
+    """``reduced_jr_rows`` of the pair, once g1 is checked weakly reversible
+    and in g's ambient space."""
     if g1.n != g.n:
         raise ValueError(f"ambient dimensions differ: {g1.n} vs {g.n}")
     if not is_weakly_reversible(g1):
@@ -254,9 +263,7 @@ def _cone_subspace(g1: EGraph, g: EGraph) -> tuple[Subspace, bool]:
             "the realization-source graph must be weakly reversible; "
             "a non-weakly-reversible graph admits no positive balanced flux"
         )
-    rows, balance_only = reduced_jr_rows(g1, out_span_normals(g))
-    kernel = kernel_basis(RationalMatrix.from_rows(rows, cols=g1.num_edges))
-    return subspace_from_span(kernel.basis, g1.num_edges), balance_only
+    return reduced_jr_rows(g1, out_span_normals(g))
 
 
 def jr_subspace(g1: EGraph, g: EGraph) -> Subspace:
@@ -266,50 +273,35 @@ def jr_subspace(g1: EGraph, g: EGraph) -> Subspace:
     to the span of g's outgoing directions at shared vertices; per-vertex
     flux balance everywhere on g1.
     """
-    return _cone_subspace(g1, g)[0]
+    return _cone_basis(_cone_rows(g1, g)[0], g1.num_edges)
 
 
 def _cycle_flux(g1: EGraph) -> EdgeVector:
-    """A strictly positive balanced flux on a weakly reversible graph.
+    """A strictly positive, integral, balanced flux on the weakly reversible g1.
 
-    Each edge is completed to a directed cycle by a return path inside
-    its strongly connected component; summing the indicator fluxes of
-    all these cycles balances every vertex and covers every edge.
+    The sum over the edges s -> t of the cycles s -> t -> root -> s of the
+    module docstring: an in-tree edge carries one unit per edge whose head
+    lies below it, an out-tree edge one per edge whose tail does.
     """
-    succ: list[list[tuple[int, int]]] = [[] for _ in g1.vertices]
-    for ei, (s, t) in enumerate(g1.edges):
-        succ[s].append((t, ei))
-    values = [_ZERO] * g1.num_edges
-
-    def path_edges(src: int, dst: int) -> list[int]:
-        prev: dict[int, tuple[int, int]] = {}
-        frontier = [src]
-        seen = {src}
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for w, ei in succ[v]:
-                    if w not in seen:
-                        seen.add(w)
-                        prev[w] = (v, ei)
-                        nxt.append(w)
-            if dst in seen:
-                break
-            frontier = nxt
-        if dst not in seen:
-            raise NotWeaklyReversibleError("no return path; graph is not weakly reversible")
-        out = []
-        cur = dst
-        while cur != src:
-            v, ei = prev[cur]
-            out.append(ei)
-            cur = v
-        return out
-
-    for ei, (s, t) in enumerate(g1.edges):
-        values[ei] += 1
-        for back in path_edges(t, s):
-            values[back] += 1
+    values = [1] * g1.num_edges
+    done: set[int] = set()
+    for root in range(g1.num_vertices):
+        if root in done:
+            continue
+        for edges_at, far in ((g1.in_edges, 0), (g1.out_edges, 1)):
+            parent = {root: (root, -1)}
+            order = [root]
+            for v in order:
+                for ei in edges_at[v]:
+                    if (w := g1.edges[ei][far]) not in parent:
+                        parent[w] = (v, ei)
+                        order.append(w)
+            below = {v: len(edges_at[v]) for v in order}
+            for w in reversed(order[1:]):
+                v, ei = parent[w]
+                values[ei] += below[w]
+                below[v] += below[w]
+        done |= parent.keys()
     return EdgeVector(g1, values)
 
 
@@ -359,20 +351,22 @@ def is_member_jr(g1: EGraph, g: EGraph, j: EdgeVector) -> bool:
 
 
 def jr_dimension(g1: EGraph, g: EGraph) -> ConeResult:
-    """ConeResult for the pair: subspace dimension plus a verified witness.
+    """ConeResult for the pair: dimension plus a verified witness or certificate.
 
-    When the constraint system consists of balance rows alone, a
-    cycle-completion flux is used as the positive witness; otherwise the
-    exact simplex decides positivity.  Every witness is re-verified by
-    the membership test before it is reported.
+    A balance-only system takes the cycle flux as its witness; otherwise
+    a sign-definite row, in absolute value, certifies emptiness, and the
+    exact simplex decides the rest.  Every witness is re-verified by the
+    membership test before it is reported.
     """
-    tilde, balance_only = _cone_subspace(g1, g)
+    rows, balance_only = _cone_rows(g1, g)
+    tilde = _cone_basis(rows, g1.num_edges)
     if balance_only:
         witness = _cycle_flux(g1)
         if not tilde.contains(witness.values):
             raise RuntimeError("cycle flux fell outside the balance kernel")
     else:
-        res = positive_point(tilde)
+        row = farkas_row(rows)
+        res = positive_point(tilde) if row is None else _certified_empty(vec(map(abs, row)), tilde)
         if not res.feasible:
             return ConeResult(
                 tilde_basis=tilde, status="empty", dim=0, certificate=res.certificate

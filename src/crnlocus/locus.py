@@ -198,9 +198,9 @@ def psi_hat_inverse(
         raise PsiDomainError(f"realization is not complex balanced: {decision.reason}")
     x0s = _validate_state(g1, x0, "base state")
     x = birch_point(g1, decision.witness.x, x0s)
-    exact = x.mode == "exact"
-    xs = vec(x.x) if exact else tuple(Fraction(float(v)) for v in x.x)
-    power_exact = exact and g1.has_integer_coordinates()
+    xs = vec(x.x) if x.mode == "exact" else tuple(Fraction(float(v)) for v in x.x)
+    # Exact in either mode when it can be: a float power overflows past the float range.
+    power_exact = g1.has_integer_coordinates()
     j1 = [
         k1.values[ei] * Fraction(state_power(xs, g1.vertices[g1.edges[ei][0]], power_exact))
         for ei in range(g1.num_edges)

@@ -145,6 +145,8 @@ def _int_nth_root(a: int, n: int) -> int | None:
         return None
     if a in (0, 1) or n == 1:
         return a
+    if n >= a.bit_length():  # then 2**n > a, and no integer root exists
+        return None
     lo, hi = 0, 1
     while hi**n < a:
         hi *= 2

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ import crnlocus
 from crnlocus import EGraph, EdgeVector, parse_egraph
 from crnlocus.cli import main
 
+from capped import CLI, run_capped
 from fixture_graphs import g_long_cycle
 
 DATA = Path(__file__).parent / "data"
@@ -185,6 +187,18 @@ class TestCheck:
         assert code == 7 and out == ""
         assert "floating-point range" in err
 
+    def test_toric_far_vertex(self, tmp_path):
+        # no integer 10^12-th root of 2 is sought (see test_toric), under capped memory
+        g = EGraph(1, [(0,), (10**12,)], [(0, 1), (1, 0)])
+        gf, kf = tmp_path / "g.json", tmp_path / "k.json"
+        gf.write_text(json.dumps(g.to_json_dict()))
+        kf.write_text(EdgeVector(g, [1, 2]).to_json())
+        proc = run_capped(CLI, "--output", "json", "check", "toric", gf, kf)
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(proc.stdout)
+        assert doc["verdict"] is True and doc["witness"]["mode"] == "approximate"
+        assert math.isclose(doc["witness"]["x"][0], 2 ** -1e-12, rel_tol=1e-12)
+
     def test_cb_flux_on_g_in_false_with_note(self, capsys):
         code, doc, _ = run_json(
             capsys, "check", "cb-flux", DATA / "g_in.json", DATA / "in_uniform1.json"
@@ -233,6 +247,21 @@ class TestPsi:
         assert doc["result"]["x"]["mode"] == "exact"
         assert doc["result"]["x"]["x"] == [1, 1]
         assert doc["result"]["p"] == []
+
+    def test_inverse_rates_beyond_float_range(self, capsys, tmp_path):
+        g = EGraph(1, [(0,), (2,)], [(0, 1), (1, 0)])
+        k = EdgeVector(g, [2 * 10**400, 1]).to_json_dict()
+        gf, inv = tmp_path / "g.json", tmp_path / "inv.json"
+        gf.write_text(json.dumps(g.to_json_dict()))
+        inv.write_text(json.dumps({"k": k, "k1": k, "q_hat": [], "x0": [1]}))
+        code, doc, err = run_json(capsys, "psi", "inverse", gf, gf, inv)
+        assert code == 0, err
+        res = doc["result"]
+        assert res["x"]["mode"] == "approximate"
+        assert math.isclose(res["x"]["x"][0], math.sqrt(2) * 1e200, rel_tol=1e-12)
+        j_hat = [Fraction(v) for v in res["j_hat"]["values"]]
+        assert j_hat[0] == 2 * 10**400
+        assert math.isclose(j_hat[1] / j_hat[0], 1, rel_tol=1e-12)
 
     def test_forward_nonmember_exit_6(self, capsys, tmp_path):
         bad = json.loads((DATA / "psi_forward_in.json").read_text())

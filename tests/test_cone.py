@@ -18,10 +18,12 @@ from crnlocus import (
     jr_subspace,
     positive_point,
 )
+from crnlocus import cone
+from crnlocus.cone import _cycle_flux
 from crnlocus.exactla import combine, dot, subspace_from_span, vec
 from crnlocus.locus import canonical_j0_obasis
 
-from fixture_graphs import g_cyc, g_in, g_k4
+from fixture_graphs import g_cyc, g_in, g_k4, g_long_cycle
 from oracles import direct_flux_imbalance, monolithic_jr_subspace, random_positive_rational
 
 FIXTURE_PAIRS = [
@@ -123,6 +125,19 @@ class TestJrDimension:
         for b in res.tilde_basis.basis:
             assert dot(cert, b) == 0
 
+    def test_sign_definite_row_decides_without_simplex(self, monkeypatch):
+        def no_simplex(*args):
+            raise AssertionError("the simplex ran on a cone with a sign-definite row")
+
+        monkeypatch.setattr(cone, "_phase1_simplex", no_simplex)
+        g1, g = empty_pair()
+        res = jr_dimension(g1, g)
+        assert res.status == "empty" and res.dim == 0
+        cert = res.certificate
+        assert all(isinstance(c, Fraction) and c >= 0 for c in cert) and any(cert)
+        for b in res.tilde_basis.basis:
+            assert dot(cert, b) == 0
+
     def test_json_shape(self):
         res = jr_dimension(g_cyc(), g_in())
         d = res.to_json_dict()
@@ -136,6 +151,50 @@ class TestJrDimension:
         for g1, g in pairs:
             nonempty = jr_dimension(g1, g).status == "nonempty"
             assert positive_point(jr_subspace(g1, g)).feasible == nonempty
+
+
+def _sweep_graphs(max_edges):
+    """Every graph on the edges of the complete square graph with at most
+    ``max_edges`` edges, its vertices renumbered in coordinate order."""
+    base = g_k4()
+    for size in range(1, max_edges + 1):
+        for combo in itertools.combinations(range(12), size):
+            sub_edges = [base.edges[i] for i in combo]
+            touched = sorted({v for e in sub_edges for v in e})
+            remap = {v: i for i, v in enumerate(touched)}
+            yield EGraph(
+                2, [base.vertices[v] for v in touched], [(remap[s], remap[t]) for s, t in sub_edges]
+            )
+
+
+class TestCycleFlux:
+    """The balance-only witness: integral, strictly positive and balanced."""
+
+    @staticmethod
+    def _check(g):
+        values = _cycle_flux(g).values
+        assert all(v.denominator == 1 and v >= 1 for v in values)
+        assert not any(direct_flux_imbalance(g, values))
+
+    def test_weakly_reversible_sweep(self):
+        wr = [g for g in _sweep_graphs(8) if is_weakly_reversible(g)]
+        assert len(wr) > 100
+        for g in wr:
+            self._check(g)
+
+    def test_long_cycle(self):
+        g = g_long_cycle(3000)
+        self._check(g)
+        # each edge closes through the root into the whole cycle
+        assert _cycle_flux(g).values == vec([3000] * 3000)
+
+    def test_long_bidirected_path(self):
+        m = 3000
+        edges = [(i, i + 1) for i in range(m - 1)] + [(i + 1, i) for i in range(m - 1)]
+        self._check(EGraph(1, [(i,) for i in range(m)], edges))
+
+    def test_k4_witness(self):
+        assert _cycle_flux(g_k4()).values == vec([4, 4, 4, 4, 1, 1, 4, 1, 1, 4, 1, 1])
 
 
 class TestHatDimension:
@@ -242,16 +301,5 @@ class TestBalanceSweep:
     acceptance suite extends this to 8 edges)."""
 
     def test_small_sweep(self):
-        base = g_k4()
-        for size in range(1, 7):
-            for combo in itertools.combinations(range(12), size):
-                sub_edges = [base.edges[i] for i in combo]
-                touched = sorted({v for e in sub_edges for v in e})
-                remap = {v: i for i, v in enumerate(touched)}
-                g = EGraph(
-                    2,
-                    [base.vertices[v] for v in touched],
-                    [(remap[s], remap[t]) for s, t in sub_edges],
-                )
-                feasible = positive_point(balance_subspace(g)).feasible
-                assert feasible == is_weakly_reversible(g)
+        for g in _sweep_graphs(6):
+            assert positive_point(balance_subspace(g)).feasible == is_weakly_reversible(g)

@@ -1,4 +1,5 @@
 import functools
+import math
 import random
 from fractions import Fraction
 
@@ -254,6 +255,18 @@ class TestPsiHatInverse:
         diff = [a - b for a, b in zip(pre2.j_hat.values, pre1.j_hat.values)]
         basis = canonical_j0_obasis(g1)
         assert diff == [x for x in basis[0]]  # exactly one orthogonal basis step
+
+    def test_rates_beyond_float_range(self):
+        # The Birch point sqrt(2)*10^200 is approximate; its square lies
+        # past the float range and is taken exactly.
+        g = EGraph(1, [(0,), (2,)], [(0, 1), (1, 0)])
+        k = EdgeVector(g, [2 * 10**400, 1])
+        pre = psi_hat_inverse(g, g, k, k, (), (1,))
+        assert pre.x.mode == "approximate"
+        assert math.isclose(pre.x.x[0], math.sqrt(2) * 1e200, rel_tol=1e-12)
+        assert pre.j_hat.values[0] == 2 * 10**400
+        assert math.isclose(pre.j_hat.values[1] / pre.j_hat.values[0], 1, rel_tol=1e-12)
+        assert pre.p == ()
 
     def test_invalid_realization_rejected(self):
         g1, g = g_k4(), g_in()

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -19,6 +20,7 @@ from crnlocus import (
 from crnlocus.egraph import linkage_classes
 from crnlocus.toric import _exact_witness
 
+from capped import run_capped
 from fixture_graphs import g_cyc, g_in, g_k4, g_three_cycle, g_two_classes, g_two_vertex
 from oracles import (
     enumerate_rooted_in_trees,
@@ -208,6 +210,22 @@ class TestIsToric:
         assert math.isclose(d.witness.x[0], math.sqrt(2) * 1e200, rel_tol=1e-12)
         assert math.isfinite(d.witness.residual) and d.witness.residual <= 1e-10
         assert check_complex_balanced_at(g, k, d.witness.x)
+
+    def test_far_vertex_seeks_no_huge_root(self):
+        # The relation x^(10^12) = 1/2 needs a 10^12-th root of 2, which
+        # cannot be an integer: 2^(10^12) > 2.  Searching for one anyway
+        # forms 2^(10^12), so the call runs with capped memory.
+        code = (
+            "import json; from crnlocus import EGraph, EdgeVector, is_toric; "
+            "g = EGraph(1, [(0,), (10**12,)], [(0, 1), (1, 0)]); "
+            "d = is_toric(g, EdgeVector(g, [1, 2])); "
+            "print(json.dumps([d.toric, d.witness.mode, float(d.witness.x[0])]))"
+        )
+        proc = run_capped(code)
+        assert proc.returncode == 0, proc.stderr
+        toric, mode, x = json.loads(proc.stdout)
+        assert toric and mode == "approximate"
+        assert math.isclose(x, 2 ** -1e-12, rel_tol=1e-12)
 
     def test_witness_outside_float_range_raises_overflow(self):
         g = EGraph(1, [(0,), (2,)], [(0, 1), (1, 0)])
