@@ -17,6 +17,7 @@ weakly reversible subgraphs of the complete graph on g.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -49,6 +50,11 @@ from .equiv import (
 from .exactla import Rat, Vec, combine, coords_in_basis, orthogonalize, subspace_from_span, vec
 from .jsonutil import rationals_to_json
 from .toric import SteadyState, birch_point, is_toric
+
+
+# An approximate state power past the float range is built as a float
+# mantissa times 2**e for |e| up to this many bits (about 2,500 digits).
+POWER_MAX_BITS = 8192
 
 
 class PsiDomainError(ValueError):
@@ -94,6 +100,18 @@ def _shift_to_coords(values: Sequence[Fraction], basis: Sequence[Vec], targets: 
     coordinates against that basis equal ``targets``."""
     deltas = [t - c for t, c in zip(targets, coords_in_basis(values, basis))]
     return tuple(a + b for a, b in zip(values, combine(deltas, basis, len(values))))
+
+
+def _power_fraction(x: Sequence[Fraction], y: Vec, exact: bool) -> Fraction:
+    """state_power as a Fraction; past the float range it is taken in logs."""
+    try:
+        return Fraction(state_power(x, y, exact))
+    except OverflowError:
+        log2 = sum(float(b) * math.log2(a) for a, b in zip(x, y) if b)
+        e = math.floor(log2)
+        if abs(e) > POWER_MAX_BITS:
+            raise
+        return Fraction(2.0 ** (log2 - e)) * Fraction(2) ** e
 
 
 def _validate_state(g: EGraph, x: Sequence[Rat], what: str) -> tuple[Fraction, ...]:
@@ -198,11 +216,11 @@ def psi_hat_inverse(
         raise PsiDomainError(f"realization is not complex balanced: {decision.reason}")
     x0s = _validate_state(g1, x0, "base state")
     x = birch_point(g1, decision.witness.x, x0s)
-    xs = vec(x.x) if x.mode == "exact" else tuple(Fraction(float(v)) for v in x.x)
-    # Exact in either mode when it can be: a float power overflows past the float range.
-    power_exact = g1.has_integer_coordinates()
+    exact = x.mode == "exact"
+    xs = vec(x.x) if exact else tuple(Fraction(float(v)) for v in x.x)
+    power_exact = exact and g1.has_integer_coordinates()
     j1 = [
-        k1.values[ei] * Fraction(state_power(xs, g1.vertices[g1.edges[ei][0]], power_exact))
+        k1.values[ei] * _power_fraction(xs, g1.vertices[g1.edges[ei][0]], power_exact)
         for ei in range(g1.num_edges)
     ]
     a_basis = canonical_j0_obasis(g1)
@@ -318,14 +336,7 @@ class SubgraphBoundRow:
     capped_bound: int | None
 
     def to_json_dict(self) -> dict:
-        return {
-            "mask": self.mask,
-            "edge_count": self.edge_count,
-            "applicable": self.applicable,
-            "dim_jr": self.dim_jr,
-            "raw_bound": self.raw_bound,
-            "capped_bound": self.capped_bound,
-        }
+        return dict(vars(self))
 
 
 @dataclass(frozen=True)
@@ -404,17 +415,8 @@ def global_lower_bound(g: EGraph, cap: int | None = None) -> GlobalBoundResult:
                     f"internal inconsistency: the report for subgraph mask {mask} has terms "
                     f"{reported}, the integer ranks gave {terms}"
                 )
-            best = report
-            best_mask = mask
-            best_sub = sub
+            best, best_mask, best_sub = report, mask, sub
             if capped >= target:
                 exhausted = False
                 break
-    return GlobalBoundResult(
-        best=best,
-        best_mask=best_mask,
-        best_subgraph=best_sub,
-        table=tuple(rows),
-        examined=examined,
-        exhausted=exhausted,
-    )
+    return GlobalBoundResult(best, best_mask, best_sub, tuple(rows), examined, exhausted)

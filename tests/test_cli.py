@@ -1,14 +1,10 @@
 import json
 import math
-import os
-import subprocess
-import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-import crnlocus
 from crnlocus import EGraph, EdgeVector, parse_egraph
 from crnlocus.cli import main
 
@@ -263,6 +259,30 @@ class TestPsi:
         assert j_hat[0] == 2 * 10**400
         assert math.isclose(j_hat[1] / j_hat[0], 1, rel_tol=1e-12)
 
+    def test_inverse_far_vertex(self, capsys, tmp_path):
+        # approximate states: x^300 answers in text and JSON; x^(10^8) answers,
+        # and a power near 10^(10^9) exits 7, both under capped memory
+        def files(vertices, x0):
+            g = EGraph(len(x0), vertices, [(0, 1), (1, 0)])
+            k = EdgeVector(g, [1, 2]).to_json_dict()
+            gf, inv = tmp_path / "g.json", tmp_path / "inv.json"
+            gf.write_text(json.dumps(g.to_json_dict()))
+            inv.write_text(json.dumps({"k": k, "k1": k, "q_hat": [], "x0": x0}))
+            return gf, gf, inv
+
+        code, out, err = run(capsys, "psi", "inverse", *files([(0,), (300,)], [1]))
+        assert code == 0 and out, err
+        code, doc, err = run_json(capsys, "psi", "inverse", *files([(0,), (300,)], [1]))
+        assert code == 0, err
+        j_hat = [Fraction(v) for v in doc["result"]["j_hat"]["values"]]
+        assert j_hat[0] == 1 and math.isclose(j_hat[1], 1, rel_tol=1e-12)
+        c = 10**8
+        proc = run_capped(CLI, "--output", "json", "psi", "inverse", *files([(0,), (c,)], [1]))
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["result"]["x"]["mode"] == "approximate"
+        proc = run_capped(CLI, "psi", "inverse", *files([(c, 0), (0, c)], [10**10, 1]))
+        assert proc.returncode == 7 and "floating-point range" in proc.stderr, proc.stderr
+
     def test_forward_nonmember_exit_6(self, capsys, tmp_path):
         bad = json.loads((DATA / "psi_forward_in.json").read_text())
         bad["j"]["values"] = [1] * 11 + [2]
@@ -355,18 +375,10 @@ def test_runs_without_numpy(tmp_path):
     }
     for name, doc in files.items():
         (tmp_path / name).write_text(json.dumps(doc))
-    script = (
-        "import sys; sys.modules['numpy'] = None; "
-        "from crnlocus.cli import main; sys.exit(main(sys.argv[1:]))"
-    )
-    src = str(Path(crnlocus.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    script = "import sys; sys.modules['numpy'] = None; " + CLI
 
     def cli(*argv):
-        proc = subprocess.run(
-            [sys.executable, "-c", script, "--output", "json", *(str(a) for a in argv)],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        proc = run_capped(script, "--output", "json", *argv)
         assert proc.returncode == 0, proc.stderr
         return json.loads(proc.stdout)
 

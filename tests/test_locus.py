@@ -1,4 +1,5 @@
 import functools
+import json
 import math
 import random
 from fractions import Fraction
@@ -30,8 +31,9 @@ from crnlocus.cone import (
 from crnlocus.egraph import complete_graph, edge_subgraph
 from crnlocus.equiv import d0_basis, d0_dimension, j0_basis, j0_dimension
 from crnlocus.exactla import combine, coords_in_basis, dot, subspace_from_span, vec
-from crnlocus.locus import PsiDomainError
+from crnlocus.locus import POWER_MAX_BITS, PsiDomainError
 
+from capped import run_capped
 from fixture_graphs import g_cyc, g_in, g_k4
 from oracles import (
     basis_pair_terms,
@@ -267,6 +269,51 @@ class TestPsiHatInverse:
         assert pre.j_hat.values[0] == 2 * 10**400
         assert math.isclose(pre.j_hat.values[1] / pre.j_hat.values[0], 1, rel_tol=1e-12)
         assert pre.p == ()
+
+    def test_approximate_state_power_stays_float_sized(self):
+        # x = 2^(-1/300) is approximate; x^300 is a float power, so j_hat
+        # holds float-sized fractions rather than a 300-fold exact power.
+        g = EGraph(1, [(0,), (300,)], [(0, 1), (1, 0)])
+        k = EdgeVector(g, [1, 2])
+        pre = psi_hat_inverse(g, g, k, k, (), (1,))
+        assert pre.x.mode == "approximate"
+        assert pre.j_hat.values[0] == 1
+        assert math.isclose(pre.j_hat.values[1], 1, rel_tol=1e-12)
+        assert all(v.numerator.bit_length() <= 53 for v in pre.j_hat.values)
+        assert all(v.denominator.bit_length() <= 1075 for v in pre.j_hat.values)
+
+    def test_approximate_power_past_float_range_in_logs(self):
+        # On x1 + x2 = 10^10 the Birch point is near (5e9, 5e9), so each
+        # state power x_i^100 is near 10^970.
+        g = EGraph(2, [(100, 0), (0, 100)], [(0, 1), (1, 0)])
+        k = EdgeVector(g, [1, 2])
+        pre = psi_hat_inverse(g, g, k, k, (), (10**10, 1))
+        assert pre.x.mode == "approximate"
+        x1 = pre.x.x[0]
+        a, b = pre.j_hat.values
+        assert math.isclose(a / b, 1, rel_tol=1e-12)
+        log_a = math.log(a.numerator) - math.log(a.denominator)
+        assert math.isclose(log_a, 100 * math.log(x1), rel_tol=1e-12)
+        assert a.numerator.bit_length() <= 53 + POWER_MAX_BITS
+
+    def test_far_vertex_powers_under_capped_memory(self):
+        # Coordinate 10^8: x^(10^8) = 1/2 is a float power; with x0 = (10^10, 1)
+        # on the two-vertex cycle the power is near 10^(10^9), past the bound,
+        # and raises OverflowError without being built.
+        code = (
+            "import json, sys; from crnlocus import EGraph, EdgeVector, psi_hat_inverse; "
+            "c = 10**8; g = EGraph(1, [(0,), (c,)], [(0, 1), (1, 0)]); k = EdgeVector(g, [1, 2]); "
+            "pre = psi_hat_inverse(g, g, k, k, (), (1,)); "
+            "print(json.dumps([float(v) for v in pre.j_hat.values])); "
+            "g = EGraph(2, [(c, 0), (0, c)], [(0, 1), (1, 0)]); k = EdgeVector(g, [1, 2]); "
+            "psi_hat_inverse(g, g, k, k, (), (10**10, 1))"
+        )
+        proc = run_capped(code)
+        assert proc.returncode == 1 and proc.stderr.rstrip().splitlines()[-1].startswith(
+            "OverflowError"
+        ), proc.stderr
+        j_hat = json.loads(proc.stdout)
+        assert j_hat[0] == 1 and math.isclose(j_hat[1], 1, rel_tol=1e-6)
 
     def test_invalid_realization_rejected(self):
         g1, g = g_k4(), g_in()
