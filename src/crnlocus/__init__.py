@@ -20,7 +20,6 @@ from .egraph import (
     linkage_classes,
     parse_egraph,
     stoich_dim,
-    strongly_connected_components,
 )
 from .exactla import (
     RationalMatrix,

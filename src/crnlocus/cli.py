@@ -102,6 +102,21 @@ def _load_vector(path: str, graph: EGraph) -> EdgeVector:
         raise _CliError(EXIT_VALIDATION, f"{path}: {e}") from e
 
 
+def _same_ambient(g: EGraph, g2: EGraph) -> None:
+    if g.n != g2.n:
+        raise _CliError(EXIT_VALIDATION, f"ambient dimensions differ: {g.n} vs {g2.n}")
+
+
+def _field_vector(graph: EGraph, data: dict, key: str) -> EdgeVector:
+    """The edge vector under ``key`` of a psi input, its errors named by the key."""
+    try:
+        return edge_vector_from_json(graph, data[key])
+    except VectorGraphMismatchError:
+        raise
+    except ValueError as e:
+        raise ValueError(f"{key}: {e}") from e
+
+
 def _edge_order_lines(g: EGraph) -> list[str]:
     return [
         "edge order: "
@@ -177,6 +192,7 @@ def _cmd_bound(args: argparse.Namespace, config: RunConfig) -> int:
         raise _CliError(
             EXIT_NOT_WR, f"{args.g1}: realization graph is not weakly reversible"
         )
+    _same_ambient(g, g1)
     report = pair_lower_bound(g, g1)
     payload = {"report": report.to_json_dict()}
     lines = [
@@ -204,6 +220,7 @@ def _cmd_check(args: argparse.Namespace, config: RunConfig) -> int:
         w = _load_vector(files[1], g)
         g2 = _load_graph(files[2])
         w2 = _load_vector(files[3], g2)
+        _same_ambient(g, g2)
         verdict = is_dynamically_equivalent(g, w, g2, w2)
     elif variant == "cb-flux":
         if len(files) != 2:
@@ -230,6 +247,7 @@ def _cmd_check(args: argparse.Namespace, config: RunConfig) -> int:
         g1 = _load_graph(files[0])
         w = _load_vector(files[1], g1)
         g = _load_graph(files[2])
+        _same_ambient(g1, g)
         try:
             verdict = is_member_jr(g1, g, w)
         except ValueError as e:
@@ -259,43 +277,50 @@ def _cmd_psi(args: argparse.Namespace, config: RunConfig) -> int:
         data = load_json(Path(args.input).read_text(encoding="utf-8"))
     except (OSError, ValueError) as e:
         raise _CliError(EXIT_VALIDATION, f"cannot read {args.input}: {e}") from e
+    forward = args.direction == "forward"
     try:
-        order_lines = [f"source {l}" for l in _edge_order_lines(g1)] + [
-            f"target {l}" for l in _edge_order_lines(g)
-        ]
-        if args.direction == "forward":
-            j = edge_vector_from_json(g1, data["j"])
-            x = rationals_from_json(data["x"], "x")
-            p = rationals_from_json(data.get("p", []), "p")
-            x0 = rationals_from_json(data["x0"], "x0") if "x0" in data else None
-            out = psi_map(g1, g, j, x, p, x0)
-            payload = {"result": out.to_json_dict()}
-            lines = order_lines + [
-                f"mode: {out.mode}",
-                f"k: {[str(v) for v in out.k.values]}",
-                f"q: {[str(v) for v in out.q]}",
-            ]
+        if not isinstance(data, dict):
+            raise ValueError("top-level JSON value must be an object")
+        if forward:
+            inputs = (
+                _field_vector(g1, data, "j"),
+                rationals_from_json(data["x"], "x"),
+                rationals_from_json(data.get("p", []), "p"),
+                rationals_from_json(data["x0"], "x0") if "x0" in data else None,
+            )
         else:
-            k = edge_vector_from_json(g, data["k"])
-            k1 = edge_vector_from_json(g1, data["k1"])
-            q_hat = rationals_from_json(data.get("q_hat", []), "q_hat")
-            x0 = rationals_from_json(data["x0"], "x0")
-            out = psi_hat_inverse(g1, g, k, k1, q_hat, x0)
-            payload = {"result": out.to_json_dict()}
-            lines = order_lines + [
-                f"j_hat: {[str(v) for v in out.j_hat.values]}",
-                f"x: {out.x.to_json_dict()}",
-                f"p: {[str(v) for v in out.p]}",
-            ]
+            inputs = (
+                _field_vector(g, data, "k"),
+                _field_vector(g1, data, "k1"),
+                rationals_from_json(data.get("q_hat", []), "q_hat"),
+                rationals_from_json(data["x0"], "x0"),
+            )
     except VectorGraphMismatchError as e:
         raise _CliError(EXIT_HASH_MISMATCH, str(e)) from e
-    except PsiDomainError as e:
-        raise _CliError(EXIT_PSI_DOMAIN, str(e)) from e
     except KeyError as e:
         raise _CliError(EXIT_VALIDATION, f"{args.input}: missing field {e}") from e
-    except NotWeaklyReversibleError as e:
+    except ValueError as e:
+        raise _CliError(EXIT_VALIDATION, f"{args.input}: {e}") from e
+    _same_ambient(g1, g)
+    try:
+        out = (psi_map if forward else psi_hat_inverse)(g1, g, *inputs)
+    except (PsiDomainError, NotWeaklyReversibleError) as e:
         raise _CliError(EXIT_PSI_DOMAIN, str(e)) from e
-    _emit(config, f"psi {args.direction}", payload, lines)
+    lines = [f"source {l}" for l in _edge_order_lines(g1)]
+    lines += [f"target {l}" for l in _edge_order_lines(g)]
+    if forward:
+        lines += [
+            f"mode: {out.mode}",
+            f"k: {[str(v) for v in out.k.values]}",
+            f"q: {[str(v) for v in out.q]}",
+        ]
+    else:
+        lines += [
+            f"j_hat: {[str(v) for v in out.j_hat.values]}",
+            f"x: {out.x.to_json_dict()}",
+            f"p: {[str(v) for v in out.p]}",
+        ]
+    _emit(config, f"psi {args.direction}", {"result": out.to_json_dict()}, lines)
     return EXIT_OK
 
 

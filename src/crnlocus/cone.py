@@ -12,8 +12,8 @@ The scan (``cone_dimension``) and the report (``jr_dimension``) decide
 every cone in one order, from the rows of one integer elimination.  A
 system of balance rows alone is nonempty because g1 is weakly
 reversible; the report's witness sums, over the edges s -> t, the cycles
-closed through the smallest vertex of the strongly connected component
-by a BFS in-tree (t -> root) and out-tree (root -> s), in linear time.
+closed through the smallest vertex of the linkage class by a BFS
+in-tree (t -> root) and out-tree (root -> s), in linear time.
 A sign-definite row certifies emptiness by its absolute values.  Else an
 exact rational phase-1 simplex with Bland's rule decides on the
 canonical reduced echelon basis of the subspace, and its dual certifies
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .egraph import EGraph, NotWeaklyReversibleError, is_weakly_reversible
+from .egraph import EGraph, NotWeaklyReversibleError, bfs, is_weakly_reversible, linkage_classes
 from .equiv import (
     EdgeVector,
     balance_rows,
@@ -280,28 +280,19 @@ def _cycle_flux(g1: EGraph) -> EdgeVector:
     """A strictly positive, integral, balanced flux on the weakly reversible g1.
 
     The sum over the edges s -> t of the cycles s -> t -> root -> s of the
-    module docstring: an in-tree edge carries one unit per edge whose head
-    lies below it, an out-tree edge one per edge whose tail does.
+    module docstring, rooted at the smallest vertex of each linkage class:
+    an in-tree edge carries one unit per edge whose head lies below it, an
+    out-tree edge one per edge whose tail does.
     """
     values = [1] * g1.num_edges
-    done: set[int] = set()
-    for root in range(g1.num_vertices):
-        if root in done:
-            continue
+    for cls in linkage_classes(g1):
         for edges_at, far in ((g1.in_edges, 0), (g1.out_edges, 1)):
-            parent = {root: (root, -1)}
-            order = [root]
-            for v in order:
-                for ei in edges_at[v]:
-                    if (w := g1.edges[ei][far]) not in parent:
-                        parent[w] = (v, ei)
-                        order.append(w)
+            order, parent = bfs(g1, cls[0], (edges_at, far))
             below = {v: len(edges_at[v]) for v in order}
             for w in reversed(order[1:]):
                 v, ei = parent[w]
                 values[ei] += below[w]
                 below[v] += below[w]
-        done |= parent.keys()
     return EdgeVector(g1, values)
 
 

@@ -185,84 +185,49 @@ def parse_egraph(text: str) -> EGraph:
     return EGraph(n, vertices, edges)
 
 
+def bfs(
+    g: EGraph, root: int, *walks: tuple[Sequence[Sequence[int]], int]
+) -> tuple[list[int], dict[int, tuple[int, int]]]:
+    """Breadth-first search from ``root`` along the given edge directions.
+
+    Each walk pairs an adjacency with the edge end it steps to:
+    ``(g.out_edges, 1)`` walks forward, ``(g.in_edges, 0)`` backward, and
+    both together ignore direction.  Returns the vertices in visiting
+    order and, for each, its (parent, edge); the root's is (root, -1).
+    """
+    parent = {root: (root, -1)}
+    order = [root]
+    for v in order:
+        for edges_at, far in walks:
+            for ei in edges_at[v]:
+                if (w := g.edges[ei][far]) not in parent:
+                    parent[w] = (v, ei)
+                    order.append(w)
+    return order, parent
+
+
 def linkage_classes(g: EGraph) -> list[list[int]]:
     """Connected components of the underlying undirected graph.
 
     Vertex indices, each class sorted, classes ordered by smallest member.
     """
-    parent = list(range(g.num_vertices))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for s, t in g.edges:
-        rs, rt = find(s), find(t)
-        if rs != rt:
-            parent[max(rs, rt)] = min(rs, rt)
-    groups: dict[int, list[int]] = {}
-    for i in range(g.num_vertices):
-        groups.setdefault(find(i), []).append(i)
-    return [sorted(groups[r]) for r in sorted(groups)]
-
-
-def strongly_connected_components(g: EGraph) -> list[list[int]]:
-    """Tarjan's algorithm without recursion, so long cycles cannot exhaust
-    the call stack; components sorted, ordered by smallest member."""
-    index_of: dict[int, int] = {}
-    lowlink: dict[int, int] = {}
-    on_stack: set[int] = set()
-    stack: list[int] = []
-    components: list[list[int]] = []
-    succ: list[list[int]] = [[] for _ in g.vertices]
-    for s, t in g.edges:
-        succ[s].append(t)
-    frames: list[tuple[int, Iterator[int]]] = []
-
-    def enter(v: int) -> None:
-        index_of[v] = lowlink[v] = len(index_of)
-        stack.append(v)
-        on_stack.add(v)
-        frames.append((v, iter(succ[v])))
-
+    seen: set[int] = set()
+    classes = []
     for root in range(g.num_vertices):
-        if root in index_of:
-            continue
-        enter(root)
-        while frames:
-            v, successors = frames[-1]
-            for w in successors:
-                if w not in index_of:
-                    enter(w)
-                    break
-                if w in on_stack:
-                    lowlink[v] = min(lowlink[v], index_of[w])
-            else:
-                frames.pop()
-                if frames:
-                    parent = frames[-1][0]
-                    lowlink[parent] = min(lowlink[parent], lowlink[v])
-                if lowlink[v] == index_of[v]:
-                    comp = []
-                    while True:
-                        w = stack.pop()
-                        on_stack.discard(w)
-                        comp.append(w)
-                        if w == v:
-                            break
-                    components.append(sorted(comp))
-    return sorted(components)
+        if root not in seen:
+            order, _ = bfs(g, root, (g.out_edges, 1), (g.in_edges, 0))
+            seen.update(order)
+            classes.append(sorted(order))
+    return classes
 
 
 def is_weakly_reversible(g: EGraph) -> bool:
-    """True iff no edge crosses strongly connected components."""
-    comp_of: dict[int, int] = {}
-    for ci, comp in enumerate(strongly_connected_components(g)):
-        for v in comp:
-            comp_of[v] = ci
-    return all(comp_of[s] == comp_of[t] for s, t in g.edges)
+    """True iff every linkage class is strongly connected: the out-tree and
+    the in-tree of its smallest vertex, which stay inside it, both cover it."""
+    return all(
+        len(bfs(g, c[0], (g.out_edges, 1))[0]) == len(c) == len(bfs(g, c[0], (g.in_edges, 0))[0])
+        for c in linkage_classes(g)
+    )
 
 
 def complete_graph(g: EGraph) -> EGraph:

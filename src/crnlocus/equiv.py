@@ -134,43 +134,26 @@ def state_power(x: Sequence, y: Vec, exact: bool) -> Fraction | float:
     return out_f
 
 
-def mass_action_rhs(
-    g: EGraph, k: EdgeVector, x: Sequence, exact: bool | None = None
-) -> tuple:
+def mass_action_rhs(g: EGraph, k: EdgeVector, x: Sequence) -> tuple:
     """The polynomial vector field of (g, k) evaluated at the positive state x.
 
     Returns exact Fractions when the vertex coordinates are integers and
     x is rational; otherwise floats (the numeric type is the
-    approximate-mode flag).  ``exact=True`` insists on the exact path
-    and raises when it is unavailable.
+    approximate-mode flag).
     """
     if len(x) != g.n:
         raise ValueError(f"state has {len(x)} entries, ambient dimension is {g.n}")
     for xi in x:
         if not (xi > 0):
             raise ValueError(f"state must be strictly positive, got {xi}")
-    can_exact = g.has_integer_coordinates() and all(
-        isinstance(xi, (int, Fraction)) for xi in x
-    )
-    if exact is True and not can_exact:
-        raise ValueError(
-            "exact evaluation needs integer vertex coordinates and a rational state"
-        )
-    use_exact = can_exact if exact is None else exact
-    if use_exact:
-        acc_e = [_ZERO] * g.n
-        for ei, (s, _) in enumerate(g.edges):
-            c = k.values[ei] * state_power(x, g.vertices[s], True)
-            rv = g.reaction_vectors[ei]
-            for j in range(g.n):
-                acc_e[j] += c * rv[j]
-        return tuple(acc_e)
-    acc = [0.0] * g.n
+    exact = g.has_integer_coordinates() and all(isinstance(xi, (int, Fraction)) for xi in x)
+    num = frac if exact else float
+    acc = [num(0)] * g.n
     for ei, (s, _) in enumerate(g.edges):
-        c = float(k.values[ei]) * state_power(x, g.vertices[s], False)
+        c = num(k.values[ei]) * state_power(x, g.vertices[s], exact)
         rv = g.reaction_vectors[ei]
         for j in range(g.n):
-            acc[j] += c * float(rv[j])
+            acc[j] += c * num(rv[j])
     return tuple(acc)
 
 

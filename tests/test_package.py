@@ -1,5 +1,6 @@
 """Package hygiene: every module-level function and class in
-``src/crnlocus`` is used somewhere in the package or exported by it."""
+``src/crnlocus`` is used somewhere in the package or exported by it, and
+every module but ``__init__`` uses each name it imports."""
 
 import ast
 from pathlib import Path
@@ -61,3 +62,27 @@ def unused_definitions() -> list[str]:
 
 def test_every_definition_is_used_or_exported():
     assert unused_definitions() == []
+
+
+def unused_imports() -> list[str]:
+    """``module.name`` for each name a module other than ``__init__``
+    imports and never refers to."""
+    unused = []
+    for module, tree in _trees().items():
+        if module == "__init__.py":
+            continue
+        used = _references(tree)
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in used:
+                    unused.append(f"{module[:-3]}.{name}")
+    return unused
+
+
+def test_every_import_is_used():
+    assert unused_imports() == []
