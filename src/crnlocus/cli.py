@@ -7,7 +7,10 @@ and the canonical edge order; --output json emits one JSON document.
 Exit codes: 0 success, 2 parse/validation error, 3 realization graph
 not weakly reversible, 4 enumeration limit exceeded, 5 vector/graph
 hash mismatch, 6 map domain violation, 7 an approximate value outside
-the floating-point range.
+the floating-point range.  ``main`` alone maps errors to these codes:
+every ValueError the library raises rejects an argument (exit 2), so
+``check toric`` with a rate <= 0 exits 2, while ``psi forward`` with a
+flux that is not strictly positive is outside the map's domain (exit 6).
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from .egraph import (
     EGraph,
     EnumerationLimitError,
     GraphValidationError,
-    NotWeaklyReversibleError,
     is_weakly_reversible,
     iter_wr_edge_masks,
     linkage_classes,
@@ -56,6 +58,26 @@ EXIT_ENUMERATION = 4
 EXIT_HASH_MISMATCH = 5
 EXIT_PSI_DOMAIN = 6
 EXIT_FLOAT_RANGE = 7
+
+# Exit code and message prefix of each error a command lets through, the
+# first matching row deciding.  Every ValueError of the library rejects an
+# argument; an internal inconsistency raises RuntimeError, a traceback.
+_ERROR_EXITS = (
+    (VectorGraphMismatchError, EXIT_HASH_MISMATCH, ""),
+    (EnumerationLimitError, EXIT_ENUMERATION, ""),
+    (PsiDomainError, EXIT_PSI_DOMAIN, ""),
+    (ValueError, EXIT_VALIDATION, ""),
+    (OverflowError, EXIT_FLOAT_RANGE, "value outside the floating-point range: "),
+)
+
+# check variant -> its files, which also fixes their number
+_CHECK_USAGE = {
+    "de": "GRAPH VEC GRAPH VEC",
+    "fe": "GRAPH VEC GRAPH VEC",
+    "cb-flux": "GRAPH VEC",
+    "toric": "GRAPH VEC",
+    "jr-member": "GRAPH1 VEC GRAPH",
+}
 
 
 @dataclass
@@ -117,11 +139,8 @@ def _field_vector(graph: EGraph, data: dict, key: str) -> EdgeVector:
         raise ValueError(f"{key}: {e}") from e
 
 
-def _edge_order_lines(g: EGraph) -> list[str]:
-    return [
-        "edge order: "
-        + " ".join(f"{i}:({s}->{t})" for i, (s, t) in enumerate(g.edges))
-    ]
+def _edge_order_line(g: EGraph) -> str:
+    return "edge order: " + " ".join(f"{i}:({s}->{t})" for i, (s, t) in enumerate(g.edges))
 
 
 def _emit(config: RunConfig, command: str, payload: dict, text_lines: list[str]) -> None:
@@ -151,7 +170,7 @@ def _cmd_analyze(args: argparse.Namespace, config: RunConfig) -> int:
     }
     lines = [
         f"graph: n={g.n} |V|={g.num_vertices} |E|={g.num_edges} hash={g.content_hash[:12]}",
-        *_edge_order_lines(g),
+        _edge_order_line(g),
         f"linkage classes: {classes}",
         f"weakly reversible: {str(wr).lower()}",
         f"dim S: {dims['s']}",
@@ -165,14 +184,11 @@ def _cmd_analyze(args: argparse.Namespace, config: RunConfig) -> int:
 def _cmd_bound(args: argparse.Namespace, config: RunConfig) -> int:
     g = _load_graph(args.graph)
     if args.all:
-        try:
-            result = global_lower_bound(g, cap=config.cap)
-        except EnumerationLimitError as e:
-            raise _CliError(EXIT_ENUMERATION, str(e)) from e
+        result = global_lower_bound(g, cap=config.cap)
         payload = result.to_json_dict()
         lines = [
             f"graph: |E|={g.num_edges}",
-            *_edge_order_lines(g),
+            _edge_order_line(g),
             f"subgraphs examined: {result.examined} (exhausted: {result.exhausted})",
         ]
         if result.best is None:
@@ -188,16 +204,15 @@ def _cmd_bound(args: argparse.Namespace, config: RunConfig) -> int:
     if not args.g1:
         raise _CliError(EXIT_VALIDATION, "bound needs a realization graph or --all")
     g1 = _load_graph(args.g1)
-    if not is_weakly_reversible(g1):
+    report = pair_lower_bound(g, g1)
+    if not report.g1_weakly_reversible:
         raise _CliError(
             EXIT_NOT_WR, f"{args.g1}: realization graph is not weakly reversible"
         )
-    _same_ambient(g, g1)
-    report = pair_lower_bound(g, g1)
     payload = {"report": report.to_json_dict()}
     lines = [
         f"pair: |E(G)|={g.num_edges} |E(G1)|={g1.num_edges}",
-        *_edge_order_lines(g),
+        _edge_order_line(g),
         f"applicable: {str(report.applicable).lower()}"
         + (f" ({report.reason})" if report.reason else ""),
     ]
@@ -210,59 +225,34 @@ def _cmd_bound(args: argparse.Namespace, config: RunConfig) -> int:
 def _cmd_check(args: argparse.Namespace, config: RunConfig) -> int:
     variant = args.variant
     files = args.files
+    usage = _CHECK_USAGE[variant]
+    if len(files) != len(usage.split()):
+        raise _CliError(EXIT_VALIDATION, f"check {variant} needs {usage}")
+    g = _load_graph(files[0])
+    w = _load_vector(files[1], g)
+    lines = [_edge_order_line(g)]
     detail: dict = {}
     if variant in ("de", "fe"):
-        if len(files) != 4:
-            raise _CliError(
-                EXIT_VALIDATION, f"check {variant} needs GRAPH VEC GRAPH VEC"
-            )
-        g = _load_graph(files[0])
-        w = _load_vector(files[1], g)
         g2 = _load_graph(files[2])
         w2 = _load_vector(files[3], g2)
-        _same_ambient(g, g2)
         verdict = is_dynamically_equivalent(g, w, g2, w2)
+        lines = [f"first {lines[0]}", f"second {_edge_order_line(g2)}"]
     elif variant == "cb-flux":
-        if len(files) != 2:
-            raise _CliError(EXIT_VALIDATION, "check cb-flux needs GRAPH VEC")
-        g = _load_graph(files[0])
-        w = _load_vector(files[1], g)
         if not is_weakly_reversible(g):
             detail["note"] = "graph is not weakly reversible; no positive balanced flux exists"
         verdict = is_complex_balanced_flux(g, w)
     elif variant == "toric":
-        if len(files) != 2:
-            raise _CliError(EXIT_VALIDATION, "check toric needs GRAPH VEC")
-        g = _load_graph(files[0])
-        w = _load_vector(files[1], g)
         decision = is_toric(g, w)
         verdict = decision.toric
         if decision.reason:
             detail["reason"] = decision.reason
         if decision.witness is not None:
             detail["witness"] = decision.witness.to_json_dict()
-    elif variant == "jr-member":
-        if len(files) != 3:
-            raise _CliError(EXIT_VALIDATION, "check jr-member needs GRAPH1 VEC GRAPH")
-        g1 = _load_graph(files[0])
-        w = _load_vector(files[1], g1)
-        g = _load_graph(files[2])
-        _same_ambient(g1, g)
-        try:
-            verdict = is_member_jr(g1, g, w)
-        except ValueError as e:
-            raise _CliError(EXIT_VALIDATION, str(e)) from e
-    else:  # pragma: no cover - argparse restricts choices
-        raise _CliError(EXIT_VALIDATION, f"unknown check variant {variant!r}")
+    else:  # jr-member: the leading graph is the realization graph
+        target = _load_graph(files[2])
+        _same_ambient(g, target)
+        verdict = is_member_jr(g, target, w)
     payload = {"variant": variant, "verdict": verdict, **detail}
-    lines = []
-    if variant in ("de", "fe"):
-        lines += [f"first {l}" for l in _edge_order_lines(g)]
-        lines += [f"second {l}" for l in _edge_order_lines(g2)]
-    elif variant == "jr-member":
-        lines += _edge_order_lines(g1)
-    else:
-        lines += _edge_order_lines(g)
     lines.append(f"check {variant}: verdict={str(verdict).lower()}")
     for key, value in detail.items():
         lines.append(f"{key}: {value}")
@@ -295,19 +285,15 @@ def _cmd_psi(args: argparse.Namespace, config: RunConfig) -> int:
                 rationals_from_json(data.get("q_hat", []), "q_hat"),
                 rationals_from_json(data["x0"], "x0"),
             )
-    except VectorGraphMismatchError as e:
-        raise _CliError(EXIT_HASH_MISMATCH, str(e)) from e
+    except VectorGraphMismatchError:
+        raise
     except KeyError as e:
         raise _CliError(EXIT_VALIDATION, f"{args.input}: missing field {e}") from e
     except ValueError as e:
         raise _CliError(EXIT_VALIDATION, f"{args.input}: {e}") from e
     _same_ambient(g1, g)
-    try:
-        out = (psi_map if forward else psi_hat_inverse)(g1, g, *inputs)
-    except (PsiDomainError, NotWeaklyReversibleError) as e:
-        raise _CliError(EXIT_PSI_DOMAIN, str(e)) from e
-    lines = [f"source {l}" for l in _edge_order_lines(g1)]
-    lines += [f"target {l}" for l in _edge_order_lines(g)]
+    out = (psi_map if forward else psi_hat_inverse)(g1, g, *inputs)
+    lines = [f"source {_edge_order_line(g1)}", f"target {_edge_order_line(g)}"]
     if forward:
         lines += [
             f"mode: {out.mode}",
@@ -326,10 +312,7 @@ def _cmd_psi(args: argparse.Namespace, config: RunConfig) -> int:
 
 def _cmd_enumerate_wr(args: argparse.Namespace, config: RunConfig) -> int:
     g = _load_graph(args.graph)
-    try:
-        masks = list(iter_wr_edge_masks(g, cap=config.cap))
-    except EnumerationLimitError as e:
-        raise _CliError(EXIT_ENUMERATION, str(e)) from e
+    masks = list(iter_wr_edge_masks(g, cap=config.cap))
     subgraphs = [
         {
             "mask": mask,
@@ -338,7 +321,7 @@ def _cmd_enumerate_wr(args: argparse.Namespace, config: RunConfig) -> int:
         for mask in masks
     ]
     payload = {"count": len(masks), "subgraphs": subgraphs}
-    lines = [f"weakly reversible subgraphs: {len(masks)}", *_edge_order_lines(g)]
+    lines = [f"weakly reversible subgraphs: {len(masks)}", _edge_order_line(g)]
     lines += [f"mask {s['mask']}: edges {s['edges']}" for s in subgraphs]
     _emit(config, "enumerate-wr", payload, lines)
     return EXIT_OK
@@ -369,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_bound)
 
     p = sub.add_parser("check", help="boolean certificates")
-    p.add_argument("variant", choices=("de", "fe", "cb-flux", "toric", "jr-member"))
+    p.add_argument("variant", choices=tuple(_CHECK_USAGE))
     p.add_argument("files", nargs="+")
     p.set_defaults(func=_cmd_check)
 
@@ -398,12 +381,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except _CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code
-    except GraphValidationError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except OverflowError as e:
-        print(f"error: value outside the floating-point range: {e}", file=sys.stderr)
-        return EXIT_FLOAT_RANGE
+    except tuple(error for error, _, _ in _ERROR_EXITS) as e:
+        code, prefix = next((c, p) for error, c, p in _ERROR_EXITS if isinstance(e, error))
+        print(f"error: {prefix}{e}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

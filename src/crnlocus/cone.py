@@ -255,14 +255,14 @@ def cone_dimension(g1: EGraph, normals_at: Mapping[Vec, Sequence[Sequence[int]]]
 
 def _cone_rows(g1: EGraph, g: EGraph) -> tuple[list[list[int]], bool]:
     """``reduced_jr_rows`` of the pair, once g1 is checked weakly reversible
-    and in g's ambient space."""
-    if g1.n != g.n:
-        raise ValueError(f"ambient dimensions differ: {g1.n} vs {g.n}")
+    and then in g's ambient space."""
     if not is_weakly_reversible(g1):
         raise NotWeaklyReversibleError(
             "the realization-source graph must be weakly reversible; "
             "a non-weakly-reversible graph admits no positive balanced flux"
         )
+    if g1.n != g.n:
+        raise ValueError(f"ambient dimensions differ: {g.n} vs {g1.n}")
     return reduced_jr_rows(g1, out_span_normals(g))
 
 

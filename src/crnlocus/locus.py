@@ -31,9 +31,9 @@ from .cone import (
 )
 from .egraph import (
     EGraph,
+    NotWeaklyReversibleError,
     complete_graph,
     edge_subgraph,
-    is_weakly_reversible,
     stoich_dim,
     wr_masks_by_size,
 )
@@ -71,11 +71,18 @@ def canonical_j0_obasis(g: EGraph) -> tuple[Vec, ...]:
     return orthogonalize(j0_basis(g)).basis
 
 
-def psi_small(g1: EGraph, g: EGraph, j: EdgeVector) -> Vec:
-    """J0(g1)-coordinates of a cone member against the canonical orthogonal basis."""
-    failure = membership_failure(g1, g, j)
+def _require_cone_member(g1: EGraph, g: EGraph, j: EdgeVector) -> None:
+    """The flux domain of the maps: strictly positive members of the cone."""
+    failure = (
+        membership_failure(g1, g, j) if j.is_strictly_positive else "it is not strictly positive"
+    )
     if failure is not None:
         raise PsiDomainError(f"flux vector is not a cone member: {failure}")
+
+
+def psi_small(g1: EGraph, g: EGraph, j: EdgeVector) -> Vec:
+    """J0(g1)-coordinates of a cone member against the canonical orthogonal basis."""
+    _require_cone_member(g1, g, j)
     return coords_in_basis(j.values, canonical_j0_obasis(g1))
 
 
@@ -140,9 +147,7 @@ def psi_map(
     Exact for integer vertex coordinates; otherwise the state powers are
     rounded through floats and the output is flagged approximate.
     """
-    failure = membership_failure(g1, g, j)
-    if failure is not None:
-        raise PsiDomainError(f"flux vector is not a cone member: {failure}")
+    _require_cone_member(g1, g, j)
     xs = _validate_state(g1, x, "state")
     b_basis = canonical_d0_obasis(g)
     ps = vec(p)
@@ -286,7 +291,9 @@ def pair_lower_bound(g: EGraph, g1: EGraph) -> BoundReport:
     against the exact bases; the cone comes with a verified witness.
     """
     dim_d0 = d0_dimension(g)
-    if not is_weakly_reversible(g1):
+    try:
+        cone = jr_dimension(g1, g)
+    except NotWeaklyReversibleError:
         return BoundReport(
             g_edge_count=g.num_edges,
             g1_weakly_reversible=False,
@@ -294,7 +301,6 @@ def pair_lower_bound(g: EGraph, g1: EGraph) -> BoundReport:
             applicable=False,
             reason="realization graph is not weakly reversible",
         )
-    cone = jr_dimension(g1, g)
     if cone.status == "empty":
         return BoundReport(
             g_edge_count=g.num_edges,

@@ -27,6 +27,7 @@ from .exactla import (
     det,
     frac,
     integer_rows,
+    kernel_basis,
     orthogonalize,
     solve_particular,
     subspace_from_span,
@@ -70,9 +71,12 @@ class TreeConstants:
 def tree_constants(g: EGraph, k: EdgeVector) -> TreeConstants:
     """Matrix-Tree constants of a weakly reversible, positively weighted graph.
 
-    K_i is the principal minor of the class's weighted out-Laplacian with
+    K_i is the principal minor of the class's weighted out-Laplacian L with
     row and column i removed: the weight sum of spanning trees oriented
-    toward vertex i.
+    toward vertex i.  By the Matrix-Tree theorem K spans the kernel of L^T,
+    which is one-dimensional on a strongly connected class, so one kernel
+    vector v and the minor K_r of the class's first vertex r give
+    K_i = K_r * v_i / v_r.
     """
     if not is_weakly_reversible(g):
         raise NotWeaklyReversibleError("tree constants require a weakly reversible graph")
@@ -88,12 +92,12 @@ def tree_constants(g: EGraph, k: EdgeVector) -> TreeConstants:
             if s in pos:
                 lap[pos[s]][pos[s]] += k.values[ei]
                 lap[pos[s]][pos[t]] -= k.values[ei]
-        for v in cls:
-            i = pos[v]
-            minor = [
-                [lap[r][c] for c in range(m) if c != i] for r in range(m) if r != i
-            ]
-            values[v] = det(RationalMatrix.from_rows(minor, cols=m - 1))
+        kernel = kernel_basis(RationalMatrix.from_rows(list(zip(*lap)), cols=m)).basis
+        if len(kernel) != 1:
+            raise RuntimeError("the out-Laplacian of a strongly connected class must have corank 1")
+        root = det(RationalMatrix.from_rows([row[1:] for row in lap[1:]], cols=m - 1))
+        for v, c in zip(cls, kernel[0]):
+            values[v] = root * c / kernel[0][0]
             if values[v] <= 0:
                 raise RuntimeError("tree constant must be positive on a weakly reversible class")
     return TreeConstants(tuple(values), tuple(classes))

@@ -101,6 +101,19 @@ class TestBound:
         assert code == 3
         assert "not weakly reversible" in err
 
+    @pytest.mark.parametrize("output", ["text", "json"])
+    def test_g1_in_other_dimension(self, capsys, tmp_path, output):
+        # weak reversibility is decided before the ambient dimension (g_k4 has n = 2)
+        line, one_way = tmp_path / "line.json", tmp_path / "one_way.json"
+        line.write_text(EGraph(1, [(0,), (1,)], [(0, 1), (1, 0)]).to_json())
+        one_way.write_text(EGraph(1, [(0,), (1,)], [(0, 1)]).to_json())
+        code, out, err = run(capsys, "--output", output, "bound", DATA / "g_k4.json", one_way)
+        assert (code, out, err) == (
+            3, "", f"error: {one_way}: realization graph is not weakly reversible\n"
+        )
+        code, out, err = run(capsys, "--output", output, "bound", DATA / "g_k4.json", line)
+        assert (code, out, err) == (2, "", "error: ambient dimensions differ: 2 vs 1\n")
+
     def test_all_k4(self, capsys):
         code, doc, _ = run_json(capsys, "bound", "--all", DATA / "g_k4.json")
         assert code == 0
@@ -351,6 +364,29 @@ class TestMalformedInput:
         code, out, err = run(capsys, "--output", output, *files)
         assert (code, out) == (2, "")
         assert err.startswith("error: ambient dimensions differ: ") and err.count("\n") == 1
+
+
+    @pytest.mark.parametrize("output", ["text", "json"])
+    @pytest.mark.parametrize("rate", [0, -1])
+    def test_toric_nonpositive_rate_exits_2(self, capsys, tmp_path, output, rate):
+        f = tmp_path / "k.json"
+        f.write_text(EdgeVector(g_k4(), [1] * 11 + [rate]).to_json())
+        code, out, err = run(capsys, "--output", output, "check", "toric", DATA / "g_k4.json", f)
+        assert (code, out) == (2, "")
+        assert err == "error: toric membership is defined for strictly positive rates\n"
+
+    @pytest.mark.parametrize("output", ["text", "json"])
+    @pytest.mark.parametrize("flux", [0, -1])
+    def test_psi_forward_nonpositive_flux_exits_6(self, capsys, tmp_path, output, flux):
+        data = json.loads((DATA / "psi_forward_in.json").read_text())
+        data["j"]["values"][-1] = flux
+        f = tmp_path / "psi.json"
+        f.write_text(json.dumps(data))
+        code, out, err = run(
+            capsys, "--output", output, "psi", "forward", DATA / "g_k4.json", DATA / "g_in.json", f
+        )
+        assert (code, out) == (6, "")
+        assert err.startswith("error: flux vector is not a cone member: ") and err.count("\n") == 1
 
 
 class TestEnumerateWR:

@@ -138,6 +138,14 @@ class TestJrDimension:
         for b in res.tilde_basis.basis:
             assert dot(cert, b) == 0
 
+    def test_not_wr_refused_before_ambient_dimension(self):
+        one_way = EGraph(1, [(0,), (1,)], [(0, 1)])
+        with pytest.raises(NotWeaklyReversibleError):
+            jr_dimension(one_way, g_k4())
+        line = EGraph(1, [(0,), (1,)], [(0, 1), (1, 0)])
+        with pytest.raises(ValueError, match="^ambient dimensions differ: 2 vs 1$"):
+            jr_dimension(line, g_k4())
+
     def test_json_shape(self):
         res = jr_dimension(g_cyc(), g_in())
         d = res.to_json_dict()

@@ -389,6 +389,12 @@ class TestPairBound:
         assert not report.applicable
         assert "not weakly reversible" in report.reason
 
+    def test_not_wr_other_dimension_flagged(self):
+        report = pair_lower_bound(g_k4(), EGraph(1, [(0,), (1,)], [(0, 1)]))
+        assert (report.applicable, report.g1_weakly_reversible) == (False, False)
+        assert report.reason == "realization graph is not weakly reversible"
+        assert report.cone is None and report.dim_d0 == 4
+
     def test_empty_cone_flagged(self):
         from test_cone import empty_pair
 

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from crnlocus import (
     EGraph,
     EdgeVector,
     NotWeaklyReversibleError,
+    Subspace,
     birch_point,
     check_complex_balanced_at,
     is_toric,
@@ -17,6 +19,7 @@ from crnlocus import (
     ode_trajectory,
     tree_constants,
 )
+from crnlocus import toric
 from crnlocus.egraph import linkage_classes
 from crnlocus.toric import _exact_witness
 
@@ -75,6 +78,32 @@ class TestTreeConstants:
             for cls in linkage_classes(g):
                 for root in cls:
                     assert tc.values[root] == enumerate_rooted_in_trees(g, k.values, root, cls)
+
+    def test_long_bidirected_path_closed_form(self):
+        # each root r has one in-tree: a_i on i -> i+1 left of r, b_i on i+1 -> i
+        # from r on, so K_r = prod_{i<r} a_i * prod_{i>=r} b_i; one kernel per
+        # class answers in well under the bound, one minor per vertex did not
+        m = 120
+        rng = random.Random(61)
+        a = [Fraction(rng.randint(1, 9), rng.randint(1, 3)) for _ in range(m - 1)]
+        b = [Fraction(rng.randint(1, 9), rng.randint(1, 3)) for _ in range(m - 1)]
+        edges = [(i, i + 1) for i in range(m - 1)] + [(i + 1, i) for i in range(m - 1)]
+        g = EGraph(1, [(i,) for i in range(m)], edges)
+        rate = dict(zip(edges, a + b))
+        k = EdgeVector(g, [rate[e] for e in g.edges])
+        t0 = time.perf_counter()
+        tc = tree_constants(g, k)
+        elapsed = time.perf_counter() - t0
+        assert tc.values == tuple(math.prod(a[:r]) * math.prod(b[r:]) for r in range(m))
+        assert elapsed < 0.4
+
+    def test_degenerate_kernel_is_internal_error(self, monkeypatch):
+        # an inconsistency, not an argument error (the CLI maps ValueError to exit 2)
+        plane = Subspace(2, ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))))
+        monkeypatch.setattr(toric, "kernel_basis", lambda m: plane)
+        g = g_two_vertex()
+        with pytest.raises(RuntimeError, match="corank 1"):
+            tree_constants(g, EdgeVector(g, [2, 3]))
 
     def test_per_class_grouping(self):
         g = g_two_classes()
