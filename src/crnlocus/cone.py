@@ -261,8 +261,7 @@ def _cone_rows(g1: EGraph, g: EGraph) -> tuple[list[list[int]], bool]:
             "the realization-source graph must be weakly reversible; "
             "a non-weakly-reversible graph admits no positive balanced flux"
         )
-    if g1.n != g.n:
-        raise ValueError(f"ambient dimensions differ: {g.n} vs {g1.n}")
+    g.check_same_ambient(g1)
     return reduced_jr_rows(g1, out_span_normals(g))
 
 
@@ -317,6 +316,7 @@ class ConeResult:
 
 def membership_failure(g1: EGraph, g: EGraph, j: EdgeVector) -> str | None:
     """None for cone members, else the first violated defining condition."""
+    g1.check_same_ambient(g)
     if j.graph != g1:
         raise ValueError("flux vector is indexed by a different graph")
     if not j.is_strictly_positive:

@@ -122,6 +122,11 @@ class EGraph:
     def coord_index(self) -> dict[Vec, int]:
         return {v: i for i, v in enumerate(self.vertices)}
 
+    def check_same_ambient(self, other: "EGraph") -> None:
+        """Pair quantities are defined only for two graphs in one Q^n."""
+        if self.n != other.n:
+            raise ValueError(f"ambient dimensions differ: {self.n} vs {other.n}")
+
     def has_integer_coordinates(self) -> bool:
         return all(c.denominator == 1 for v in self.vertices for c in v)
 
@@ -283,19 +288,24 @@ def _masks_by_size(m: int) -> Iterator[int]:
             mask = lz | (((mask ^ lz) // lo) >> 2)
 
 
+def check_enumerable(num_edges: int, cap: int | None) -> None:
+    """Refuse a subset scan over ``num_edges`` edges past the edge limit
+    without a cap, and a negative cap."""
+    if cap is None and num_edges > WR_ENUMERATION_EDGE_LIMIT:
+        raise EnumerationLimitError(
+            f"{num_edges} edges exceeds the enumeration limit of "
+            f"{WR_ENUMERATION_EDGE_LIMIT}; pass a cap to enumerate anyway"
+        )
+    if cap is not None and cap < 0:
+        raise ValueError(f"cap must be nonnegative, got {cap}")
+
+
 def _wr_masks(g: EGraph, candidates: Iterable[int], cap: int | None) -> Iterator[int]:
     """The weakly reversible masks among ``candidates``, at most ``cap`` of them.
 
     Without a cap, graphs past the edge limit raise EnumerationLimitError.
     """
-    m = g.num_edges
-    if cap is None and m > WR_ENUMERATION_EDGE_LIMIT:
-        raise EnumerationLimitError(
-            f"{m} edges exceeds the enumeration limit of "
-            f"{WR_ENUMERATION_EDGE_LIMIT}; pass a cap to enumerate anyway"
-        )
-    if cap is not None and cap < 0:
-        raise ValueError(f"cap must be nonnegative, got {cap}")
+    check_enumerable(g.num_edges, cap)
     yielded = 0
     for mask in candidates:
         if cap is not None and yielded >= cap:

@@ -33,7 +33,6 @@ from .exactla import (
 from .jsonutil import load_json, rationals_from_json, rationals_to_json
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class VectorGraphMismatchError(ValueError):
@@ -114,8 +113,7 @@ def _nets_agree(a: Mapping[Vec, Vec], b: Mapping[Vec, Vec], n: int) -> bool:
 
 def is_dynamically_equivalent(g: EGraph, k: EdgeVector, g2: EGraph, k2: EdgeVector) -> bool:
     """Equal per-vertex net reaction vectors over the union of vertex sets."""
-    if g.n != g2.n:
-        raise ValueError(f"ambient dimensions differ: {g.n} vs {g2.n}")
+    g.check_same_ambient(g2)
     return _nets_agree(net_vectors(g, k), net_vectors(g2, k2), g.n)
 
 
@@ -187,26 +185,6 @@ def _local_rows(
     return [[dot(c, rv) for rv in rvs] for c in normals]
 
 
-def per_vertex_kernel(g: EGraph, vi: int) -> list[Vec]:
-    """Basis of the weightings on vi's out-edges whose net vector is zero,
-    embedded in the edge space of g.
-
-    Zero local rows are dropped; when none remain, every weighting
-    qualifies and the unit vectors are returned without elimination.
-    """
-    out = g.out_edges[vi]
-    rows = [r for r in _local_rows(g, vi) if any(r)]
-    if not rows:
-        return [tuple(_ONE if e == ei else _ZERO for e in range(g.num_edges)) for ei in out]
-    basis = []
-    for kv in kernel_basis(RationalMatrix.from_rows(rows, cols=len(out))).basis:
-        v = [_ZERO] * g.num_edges
-        for pos, ei in enumerate(out):
-            v[ei] = kv[pos]
-        basis.append(tuple(v))
-    return basis
-
-
 def vertex_rows(
     g: EGraph, normals_at: Mapping[Vec, Sequence[Sequence[Rat]]] | None = None
 ) -> list[list[int]]:
@@ -250,13 +228,24 @@ def j0_dimension(g: EGraph) -> int:
 def d0_basis(g: EGraph) -> Subspace:
     """Canonical basis of D0(g): weightings with zero net vector at every vertex.
 
-    The defining system is block-diagonal by source vertex, so the kernel
-    is assembled per vertex and canonicalized.
+    The defining system is block-diagonal by source vertex, and a vertex's
+    out-edges ascend, so the reduced echelon bases of the local kernels,
+    embedded at the out-edges and ordered by pivot column, are the reduced
+    echelon basis of D0.
     """
-    vectors: list[Vec] = []
-    for vi in range(g.num_vertices):
-        vectors.extend(per_vertex_kernel(g, vi))
-    return subspace_from_span(vectors, g.num_edges)
+    by_pivot: list[tuple[int, Vec]] = []
+    for vi, out in enumerate(g.out_edges):
+        if not out:
+            continue
+        local = kernel_basis(RationalMatrix.from_rows(_local_rows(g, vi), cols=len(out)))
+        if not local.basis:
+            continue
+        for kv in subspace_from_span(local.basis, len(out)).basis:
+            v = [_ZERO] * g.num_edges
+            for ei, x in zip(out, kv):
+                v[ei] = x
+            by_pivot.append((next(ei for ei, x in zip(out, kv) if x), tuple(v)))
+    return Subspace(g.num_edges, tuple(v for _, v in sorted(by_pivot)))
 
 
 def restrict_to_kernel(sub: Subspace, constraints: Sequence[Sequence[int]]) -> Subspace:
@@ -293,8 +282,7 @@ def realize_with_diagnostic(
     g_src: EGraph, w_src: EdgeVector, g_tgt: EGraph
 ) -> tuple[EdgeVector | None, Vec | None]:
     """realize_on plus the coordinates of the first obstructing vertex."""
-    if g_src.n != g_tgt.n:
-        raise ValueError(f"ambient dimensions differ: {g_src.n} vs {g_tgt.n}")
+    g_src.check_same_ambient(g_tgt)
     nets = net_vectors(g_src, w_src)
     zero = (_ZERO,) * g_src.n
     for coords, net in nets.items():

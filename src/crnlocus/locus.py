@@ -32,6 +32,7 @@ from .cone import (
 from .egraph import (
     EGraph,
     NotWeaklyReversibleError,
+    check_enumerable,
     complete_graph,
     edge_subgraph,
     stoich_dim,
@@ -71,18 +72,17 @@ def canonical_j0_obasis(g: EGraph) -> tuple[Vec, ...]:
     return orthogonalize(j0_basis(g)).basis
 
 
-def _require_cone_member(g1: EGraph, g: EGraph, j: EdgeVector) -> None:
-    """The flux domain of the maps: strictly positive members of the cone."""
+def psi_small(g1: EGraph, g: EGraph, j: EdgeVector) -> Vec:
+    """J0(g1)-coordinates of a cone member against the canonical orthogonal basis.
+
+    The flux domain of the maps is the strictly positive members of the cone.
+    """
+    g1.check_same_ambient(g)
     failure = (
         membership_failure(g1, g, j) if j.is_strictly_positive else "it is not strictly positive"
     )
     if failure is not None:
         raise PsiDomainError(f"flux vector is not a cone member: {failure}")
-
-
-def psi_small(g1: EGraph, g: EGraph, j: EdgeVector) -> Vec:
-    """J0(g1)-coordinates of a cone member against the canonical orthogonal basis."""
-    _require_cone_member(g1, g, j)
     return coords_in_basis(j.values, canonical_j0_obasis(g1))
 
 
@@ -147,7 +147,7 @@ def psi_map(
     Exact for integer vertex coordinates; otherwise the state powers are
     rounded through floats and the output is flagged approximate.
     """
-    _require_cone_member(g1, g, j)
+    q = psi_small(g1, g, j)
     xs = _validate_state(g1, x, "state")
     b_basis = canonical_d0_obasis(g)
     ps = vec(p)
@@ -172,7 +172,6 @@ def psi_map(
     if k_part is None:
         raise PsiDomainError("internal: cone member failed to realize at the given state")
     k = EdgeVector(g, _shift_to_coords(k_part.values, b_basis, ps))
-    q = coords_in_basis(j.values, canonical_j0_obasis(g1))
     return PsiOutput(k=k, q=q, mode="exact" if exact else "approximate")
 
 
@@ -208,6 +207,7 @@ def psi_hat_inverse(
     shift it along the canonical orthogonal J0(g1) basis.  The shifted
     flux may leave the positive orthant only along those directions.
     """
+    g1.check_same_ambient(g)
     if k.graph != g:
         raise PsiDomainError("rate vector is not indexed by the target graph")
     if k1.graph != g1:
@@ -381,8 +381,8 @@ def global_lower_bound(g: EGraph, cap: int | None = None) -> GlobalBoundResult:
     that beats the incumbent gets the full ``pair_lower_bound`` report,
     and its terms must agree with the integer ones.
     """
-    if cap is not None and cap < 0:
-        raise ValueError(f"cap must be nonnegative, got {cap}")
+    m = g.num_vertices
+    check_enumerable(m * (m - 1), cap)
     gc = complete_graph(g)
     # Terms that depend on g alone.
     normals_at = out_span_normals(g)

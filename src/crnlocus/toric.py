@@ -251,9 +251,10 @@ def is_toric(g: EGraph, k: EdgeVector) -> ToricDecision:
     """
     if not k.is_strictly_positive:
         raise ValueError("toric membership is defined for strictly positive rates")
-    if not is_weakly_reversible(g):
+    try:
+        tc = tree_constants(g, k)
+    except NotWeaklyReversibleError:
         return ToricDecision(False, reason="graph is not weakly reversible")
-    tc = tree_constants(g, k)
     witness = _exact_witness(*_relation_system(g, tc), g.n)
     if witness is None:
         return ToricDecision(False, constants=tc, reason="tree-constant ratios are inconsistent")

@@ -12,7 +12,15 @@ import math
 import random
 from fractions import Fraction
 
-from crnlocus import EGraph, EdgeVector, RationalMatrix, Subspace, positive_point
+from crnlocus import (
+    EGraph,
+    EdgeVector,
+    RationalMatrix,
+    Subspace,
+    kernel_basis,
+    positive_point,
+    subspace_from_span,
+)
 from crnlocus.egraph import stoich_dim
 from crnlocus.equiv import d0_basis, j0_basis
 
@@ -70,6 +78,21 @@ def d0_constraint_matrix(g: EGraph) -> RationalMatrix:
                 block[r][ei] = rv[r]
         rows.extend(block)
     return RationalMatrix.from_rows(rows, cols=g.num_edges)
+
+
+def global_reduction_d0_basis(g: EGraph) -> Subspace:
+    """D0(g) as the kernel of each vertex's out-directions, embedded in the
+    edge space, then one reduction of all of them together to the
+    canonical basis."""
+    vectors = []
+    for out in g.out_edges:
+        rows = [[g.reaction_vectors[ei][r] for ei in out] for r in range(g.n)]
+        for kv in kernel_basis(RationalMatrix.from_rows(rows, cols=len(out))).basis:
+            v = [Fraction(0)] * g.num_edges
+            for ei, x in zip(out, kv):
+                v[ei] = x
+            vectors.append(tuple(v))
+    return subspace_from_span(vectors, g.num_edges)
 
 
 def monolithic_jr_subspace(g1: EGraph, g: EGraph) -> Subspace:

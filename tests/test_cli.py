@@ -150,6 +150,18 @@ class TestBound:
         assert "enumeration limit" in err and "pass a cap" in err
         assert "enumeration" in err
 
+    def test_enumeration_limit_before_complete_graph(self, tmp_path):
+        # the complete graph on 3,000 vertices (8,997,000 edges) is never
+        # built, so the limit is reported under capped memory
+        f = tmp_path / "cycle.json"
+        f.write_text(g_long_cycle(3000).to_json())
+        proc = run_capped(CLI, "bound", "--all", f)
+        assert (proc.returncode, proc.stdout) == (4, ""), proc.stderr
+        assert proc.stderr == (
+            "error: 8997000 edges exceeds the enumeration limit of 24; "
+            "pass a cap to enumerate anyway\n"
+        )
+
 
 class TestCheck:
     def test_de_example_true(self, capsys):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -12,16 +13,29 @@ from crnlocus import (
     is_dynamically_equivalent,
     is_weakly_reversible,
     j0_basis,
+    linkage_classes,
     mass_action_rhs,
     net_vectors,
+    parse_egraph,
     realize_on,
 )
 from crnlocus.cone import balance_subspace, positive_point
 from crnlocus.exactla import combine, vec
 
-from fixture_graphs import CENTER, g_cyc, g_in, g_k4, dependency_vectors
+from fixture_graphs import (
+    CENTER,
+    dependency_vectors,
+    g_cyc,
+    g_in,
+    g_k4,
+    g_long_cycle,
+    g_three_cycle,
+    g_two_classes,
+    g_two_vertex,
+)
 from oracles import (
     d0_constraint_matrix,
+    global_reduction_d0_basis,
     direct_mass_action_rhs,
     direct_net_vectors,
     random_edge_vector,
@@ -152,6 +166,55 @@ class TestD0J0:
             assert d0_basis(g).spans_same(kernel_basis(dm))
             stacked = [dm.row(i) for i in range(dm.rows)] + balance_rows(g)
             assert j0_basis(g).spans_same(kernel_basis(RationalMatrix.from_rows(stacked)))
+
+
+def _random_graph(rng: random.Random) -> EGraph:
+    """n = 1-3, 2-6 vertices, sinks and several linkage classes allowed,
+    edges in shuffled order half the time."""
+    n = rng.randint(1, 3)
+    m = rng.randint(2, 6)
+    coords = set()
+    while len(coords) < m:
+        coords.add(tuple(Fraction(rng.randint(-3, 3), rng.choice([1, 1, 2])) for _ in range(n)))
+    pairs = [(i, j) for i in range(m) for j in range(m) if i != j]
+    if m >= 4 and rng.random() < 0.4:  # no edge between the two halves
+        pairs = [(i, j) for i, j in pairs if (i < m // 2) == (j < m // 2)]
+    edges = rng.sample(pairs, rng.randint(1, min(len(pairs), 3 * m)))
+    if rng.random() < 0.5:
+        edges.sort()
+    touched = sorted({v for e in edges for v in e})
+    remap = {v: i for i, v in enumerate(touched)}
+    verts = sorted(coords)
+    return EGraph(n, [verts[v] for v in touched], [(remap[s], remap[t]) for s, t in edges])
+
+
+class TestD0VertexBlocks:
+    """The vertex blocks of D0, ordered by pivot, are the basis one global
+    reduction of every per-vertex kernel gives, tuple for tuple."""
+
+    def test_fixtures(self):
+        data = Path(__file__).parent / "data"
+        graphs = [g_cyc(), g_k4(), g_in(), g_two_vertex(), g_three_cycle(), g_two_classes()]
+        graphs += [g_long_cycle(40)]
+        graphs += [
+            parse_egraph((data / f"{name}.json").read_text())
+            for name in ("de_diag", "de_split", "line")
+        ]
+        for g in graphs:
+            assert d0_basis(g).basis == global_reduction_d0_basis(g).basis
+
+    def test_random_graphs(self):
+        rng = random.Random(1517)
+        shapes = {"shuffled": 0, "sink": 0, "classes": 0, "nonzero": 0}
+        for _ in range(300):
+            g = _random_graph(rng)
+            basis = d0_basis(g).basis
+            assert basis == global_reduction_d0_basis(g).basis
+            shapes["shuffled"] += list(g.edges) != sorted(g.edges)
+            shapes["sink"] += not all(g.out_edges)
+            shapes["classes"] += len(linkage_classes(g)) > 1
+            shapes["nonzero"] += bool(basis)
+        assert min(shapes.values()) >= 30, shapes
 
 
 class TestDynamicalEquivalence:

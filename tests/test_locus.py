@@ -24,6 +24,7 @@ from crnlocus import (
 from crnlocus.cone import (
     cone_dimension,
     farkas_row,
+    membership_failure,
     out_span_normals,
     positive_point,
     reduced_jr_rows,
@@ -34,7 +35,7 @@ from crnlocus.exactla import combine, coords_in_basis, dot, subspace_from_span, 
 from crnlocus.locus import POWER_MAX_BITS, PsiDomainError
 
 from capped import run_capped
-from fixture_graphs import g_cyc, g_in, g_k4
+from fixture_graphs import g_cyc, g_in, g_k4, g_two_vertex
 from oracles import (
     basis_pair_terms,
     monolithic_jr_subspace,
@@ -322,6 +323,30 @@ class TestPsiHatInverse:
                 g1, g, EdgeVector(g, [1, 1, 1, 1]), EdgeVector.uniform(g1),
                 psi_small(g1, g, EdgeVector.uniform(g1)), (1, 1)
             )
+
+
+class TestAmbientCheckedFirst:
+    """A pair in two ambient spaces is refused before any other check: here
+    a flux with a zero entry on g_k4 (n = 2) against a 1-D two-cycle."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda g1, g, j: membership_failure(g1, g, j),
+            lambda g1, g, j: psi_small(g1, g, j),
+            lambda g1, g, j: psi_map(g1, g, j, (1, 1), ()),
+            lambda g1, g, j: psi_hat_inverse(
+                g1, g, EdgeVector.uniform(g), EdgeVector.uniform(g1), (), (1, 1)
+            ),
+        ],
+        ids=["membership_failure", "psi_small", "psi_map", "psi_hat_inverse"],
+    )
+    def test_mismatch_raised_first(self, call):
+        g1, g = g_k4(), g_two_vertex()
+        with pytest.raises(ValueError) as exc:
+            call(g1, g, EdgeVector(g1, [1] * 11 + [0]))
+        assert exc.type is ValueError
+        assert str(exc.value) == "ambient dimensions differ: 2 vs 1"
 
 
 class TestContinuitySurrogate:

@@ -20,8 +20,8 @@ from crnlocus import (
     tree_constants,
 )
 from crnlocus import toric
-from crnlocus.egraph import linkage_classes
-from crnlocus.toric import _exact_witness
+from crnlocus.egraph import is_weakly_reversible, linkage_classes
+from crnlocus.toric import ToricDecision, _exact_witness
 
 from capped import run_capped
 from fixture_graphs import g_cyc, g_in, g_k4, g_three_cycle, g_two_classes, g_two_vertex
@@ -120,6 +120,22 @@ class TestIsToric:
             assert d.toric
             assert d.witness.mode == "exact"
             assert check_complex_balanced_at(g, EdgeVector(g, k), d.witness.x)
+
+    @pytest.mark.parametrize(
+        "g, toric_expected", [(g_k4(), True), (g_in(), False)], ids=["g_k4", "g_in"]
+    )
+    def test_weak_reversibility_decided_once(self, monkeypatch, g, toric_expected):
+        calls = []
+
+        def counted(graph):
+            calls.append(graph)
+            return is_weakly_reversible(graph)
+
+        monkeypatch.setattr(toric, "is_weakly_reversible", counted)
+        d = is_toric(g, EdgeVector.uniform(g))
+        assert len(calls) == 1 and d.toric is toric_expected
+        if not toric_expected:
+            assert d == ToricDecision(False, reason="graph is not weakly reversible")
 
     def test_g_in_never_toric(self):
         d = is_toric(g_in(), EdgeVector.uniform(g_in()))
