@@ -41,7 +41,7 @@ from .equiv import (
     is_dynamically_equivalent,
     j0_dimension,
 )
-from .jsonutil import load_json, rationals_from_json
+from .jsonutil import load_json, rational_str, rationals_from_json
 from .locus import (
     PsiDomainError,
     global_lower_bound,
@@ -289,14 +289,14 @@ def _cmd_psi(args: argparse.Namespace, config: RunConfig) -> int:
     if forward:
         lines += [
             f"mode: {out.mode}",
-            f"k: {[str(v) for v in out.k.values]}",
-            f"q: {[str(v) for v in out.q]}",
+            f"k: {[rational_str(v) for v in out.k.values]}",
+            f"q: {[rational_str(v) for v in out.q]}",
         ]
     else:
         lines += [
-            f"j_hat: {[str(v) for v in out.j_hat.values]}",
+            f"j_hat: {[rational_str(v) for v in out.j_hat.values]}",
             f"x: {out.x.to_json_dict()}",
-            f"p: {[str(v) for v in out.p]}",
+            f"p: {[rational_str(v) for v in out.p]}",
         ]
     _emit(config, f"psi {args.direction}", {"result": out.to_json_dict()}, lines)
     return EXIT_OK

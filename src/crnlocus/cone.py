@@ -48,7 +48,7 @@ from .exactla import (
     subspace_from_span,
     vec,
 )
-from .jsonutil import rationals_to_json
+from .jsonutil import rational_str, rationals_to_json
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -325,13 +325,14 @@ def membership_failure(g1: EGraph, g: EGraph, j: EdgeVector) -> str | None:
         if r != 0:
             return (
                 f"per-vertex flux balance fails at vertex {vi} "
-                f"{tuple(str(c) for c in g1.vertices[vi])} (inflow - outflow = {r})"
+                f"{tuple(rational_str(c) for c in g1.vertices[vi])} "
+                f"(inflow - outflow = {rational_str(r)})"
             )
     realized, obstruction = realize_with_diagnostic(g1, j, g)
     if realized is None:
         return (
             "net vector at vertex "
-            f"{tuple(str(c) for c in obstruction)} is not expressible on the target graph"
+            f"{tuple(rational_str(c) for c in obstruction)} is not expressible on the target graph"
         )
     return None
 

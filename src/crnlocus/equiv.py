@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .egraph import EGraph
 from .exactla import (
@@ -132,27 +132,56 @@ def state_power(x: Sequence, y: Vec, exact: bool) -> Fraction | float:
     return out_f
 
 
+def mass_action_field(
+    g: EGraph, k: EdgeVector, rational_states: bool
+) -> Callable[[Sequence], tuple]:
+    """The polynomial vector field of (g, k) as a function of the positive state.
+
+    The field is exact, in Fractions, when the vertex coordinates are
+    integers and ``rational_states`` promises rational states; otherwise
+    it is evaluated in floats (the numeric type is the approximate-mode
+    flag).  The rates, source exponents and reaction vectors are converted
+    to that type once, when the field is built, so a caller that evaluates
+    it at many states, such as an ODE integrator, pays for the conversion
+    once.  Each call still checks the state's length and positivity.
+    """
+    exact = rational_states and g.has_integer_coordinates()
+    num = frac if exact else float
+    n = g.n
+    terms = [
+        (
+            num(k.values[ei]),
+            tuple(num(y) for y in g.vertices[s]),
+            tuple(num(r) for r in g.reaction_vectors[ei]),
+        )
+        for ei, (s, _) in enumerate(g.edges)
+    ]
+
+    def field(x: Sequence) -> tuple:
+        if len(x) != n:
+            raise ValueError(f"state has {len(x)} entries, ambient dimension is {n}")
+        for xi in x:
+            if not (xi > 0):
+                raise ValueError(f"state must be strictly positive, got {xi}")
+        acc = [num(0)] * n
+        for rate, y, rv in terms:
+            c = rate * state_power(x, y, exact)
+            for j in range(n):
+                acc[j] += c * rv[j]
+        return tuple(acc)
+
+    return field
+
+
 def mass_action_rhs(g: EGraph, k: EdgeVector, x: Sequence) -> tuple:
-    """The polynomial vector field of (g, k) evaluated at the positive state x.
+    """The polynomial vector field of (g, k) evaluated at the positive state x:
+    one call of the field ``mass_action_field`` builds.
 
     Returns exact Fractions when the vertex coordinates are integers and
     x is rational; otherwise floats (the numeric type is the
     approximate-mode flag).
     """
-    if len(x) != g.n:
-        raise ValueError(f"state has {len(x)} entries, ambient dimension is {g.n}")
-    for xi in x:
-        if not (xi > 0):
-            raise ValueError(f"state must be strictly positive, got {xi}")
-    exact = g.has_integer_coordinates() and all(isinstance(xi, (int, Fraction)) for xi in x)
-    num = frac if exact else float
-    acc = [num(0)] * g.n
-    for ei, (s, _) in enumerate(g.edges):
-        c = num(k.values[ei]) * state_power(x, g.vertices[s], exact)
-        rv = g.reaction_vectors[ei]
-        for j in range(g.n):
-            acc[j] += c * num(rv[j])
-    return tuple(acc)
+    return mass_action_field(g, k, all(isinstance(xi, (int, Fraction)) for xi in x))(x)
 
 
 def balance_rows(g: EGraph) -> list[list[int]]:

@@ -261,27 +261,46 @@ def solve_particular(m: RationalMatrix, b: Sequence[Rat]) -> Vec | None:
     return tuple(x)
 
 
+def _support(b: Sequence[Fraction]) -> list[int]:
+    return [j for j, x in enumerate(b) if x]
+
+
 def orthogonalize(s: Subspace) -> Subspace:
-    """Gram-Schmidt without normalization: same span, pairwise-orthogonal."""
-    out: list[Vec] = []
+    """Gram-Schmidt without normalization: same span, pairwise-orthogonal.
+
+    Each output vector's support (its nonzero indices) and squared length
+    are recorded once; its product with a later input vector is summed,
+    and its multiple subtracted, over that support alone.  Vectors with
+    disjoint supports, such as those of different D0 vertex blocks, cost
+    one empty sum against each other.
+    """
+    done: list[tuple[list[int], Vec, Fraction]] = []  # support, vector, squared length
     for b in s.basis:
         g = list(b)
-        for prev in out:
-            c = dot(b, prev) / dot(prev, prev)
-            if c:
-                for j in range(len(g)):
+        for support, prev, norm in done:
+            d = sum((b[j] * prev[j] for j in support if b[j]), _ZERO)
+            if d:
+                c = d / norm
+                for j in support:
                     g[j] -= c * prev[j]
-        out.append(tuple(g))
-    return Subspace(s.ambient, tuple(out))
+        v = tuple(g)
+        support = _support(v)
+        done.append((support, v, sum((v[j] * v[j] for j in support), _ZERO)))
+    return Subspace(s.ambient, tuple(v for _, v, _ in done))
 
 
 def coords_in_basis(v: Sequence[Rat], basis: Sequence[Sequence[Rat]]) -> Vec:
-    """Coordinates <v,b_i>/<b_i,b_i> against a pairwise-orthogonal basis."""
+    """Coordinates <v,b_i>/<b_i,b_i> against a pairwise-orthogonal basis,
+    each product summed over the support of b_i alone."""
     w = vec(v)
     out = []
     for b in basis:
         bb = vec(b)
-        out.append(dot(w, bb) / dot(bb, bb))
+        if len(bb) != len(w):
+            raise ValueError(f"dot of vectors with lengths {len(w)} and {len(bb)}")
+        support = _support(bb)
+        d = sum((w[j] * bb[j] for j in support if w[j]), _ZERO)
+        out.append(d / sum((bb[j] * bb[j] for j in support), _ZERO))
     return tuple(out)
 
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .egraph import EGraph, NotWeaklyReversibleError, is_weakly_reversible, linkage_classes
-from .equiv import EdgeVector, mass_action_rhs, state_power, vertex_imbalance
+from .equiv import EdgeVector, mass_action_field, state_power, vertex_imbalance
 from .exactla import (
     RationalMatrix,
     Vec,
@@ -378,16 +378,15 @@ def ode_trajectory(
 ) -> list[tuple[float, tuple[float, ...]]]:
     """Classical fixed-step RK4 sampling of the mass-action dynamics.
 
-    A step that leaves the positive orthant is rejected and retried with
-    a halved step; below ODE_DT_MIN the integration aborts.  Every step
-    starts again from dt.
+    The float field is built once per trajectory and evaluated at every
+    stage.  A step that leaves the positive orthant is rejected and
+    retried with a halved step; below ODE_DT_MIN the integration aborts.
+    Every step starts again from dt.
     """
     for v in x0:
         if not (v > 0):
             raise ValueError("initial state must be strictly positive")
-
-    def f(state: tuple[float, ...]) -> tuple[float, ...]:
-        return mass_action_rhs(g, k, state)
+    f = mass_action_field(g, k, rational_states=False)
 
     def ok(state: tuple[float, ...]) -> bool:
         return all(v > 0 and math.isfinite(v) for v in state)

@@ -2,7 +2,9 @@
 cross-check the library's optimized paths.  Nothing here imports the
 functions it checks; ``basis_pair_terms`` checks the integer-rank scan
 against exact bases, with the cone subspace from the monolithic
-construction ``monolithic_jr_subspace``.
+construction ``monolithic_jr_subspace``, and ``rk4_every_stage`` checks
+``ode_trajectory`` against the one-shot ``mass_action_rhs``, which the
+direct right-hand-side oracles check in turn.
 """
 
 from __future__ import annotations
@@ -22,7 +24,9 @@ from crnlocus import (
     subspace_from_span,
 )
 from crnlocus.egraph import stoich_dim
-from crnlocus.equiv import d0_basis, j0_basis
+from crnlocus.equiv import d0_basis, j0_basis, mass_action_rhs
+from crnlocus.exactla import Vec, dot, vec
+from crnlocus.toric import ODE_DT_MIN, ConvergenceError
 
 
 def reachability_weakly_reversible(g: EGraph) -> bool:
@@ -194,6 +198,77 @@ def direct_flux_imbalance(g: EGraph, values) -> list[Fraction]:
     return out
 
 
+def dense_orthogonalize(s: Subspace) -> Subspace:
+    """Gram-Schmidt without normalization, every product taken over every
+    index: same span, pairwise-orthogonal."""
+    out: list[Vec] = []
+    for b in s.basis:
+        g = list(b)
+        for prev in out:
+            c = dot(b, prev) / dot(prev, prev)
+            if c:
+                for j in range(len(g)):
+                    g[j] -= c * prev[j]
+        out.append(tuple(g))
+    return Subspace(s.ambient, tuple(out))
+
+
+def dense_coords_in_basis(v, basis) -> Vec:
+    """Coordinates <v,b_i>/<b_i,b_i>, every product over every index."""
+    w = vec(v)
+    out = []
+    for b in basis:
+        bb = vec(b)
+        out.append(dot(w, bb) / dot(bb, bb))
+    return tuple(out)
+
+
+def rk4_every_stage(g: EGraph, k: EdgeVector, x0, t_end: float, dt: float):
+    """Fixed-step RK4 that evaluates the one-shot ``mass_action_rhs`` at every
+    stage; a step whose stage or end state leaves the positive orthant is
+    halved, each step starting again from dt."""
+
+    def ok(state):
+        return all(v > 0 and math.isfinite(v) for v in state)
+
+    def rk4(x, h):
+        k1 = mass_action_rhs(g, k, x)
+        s2 = tuple(xi + 0.5 * h * ki for xi, ki in zip(x, k1))
+        if not ok(s2):
+            return None
+        k2 = mass_action_rhs(g, k, s2)
+        s3 = tuple(xi + 0.5 * h * ki for xi, ki in zip(x, k2))
+        if not ok(s3):
+            return None
+        k3 = mass_action_rhs(g, k, s3)
+        s4 = tuple(xi + h * ki for xi, ki in zip(x, k3))
+        if not ok(s4):
+            return None
+        k4 = mass_action_rhs(g, k, s4)
+        nxt = tuple(
+            xi + h / 6.0 * (a + 2 * b + 2 * c + d)
+            for xi, a, b, c, d in zip(x, k1, k2, k3, k4)
+        )
+        return nxt if ok(nxt) else None
+
+    x = tuple(float(v) for v in x0)
+    t = 0.0
+    samples = [(t, x)]
+    while t < t_end - 1e-15:
+        step = min(dt, t_end - t)
+        while True:
+            nxt = rk4(x, step)
+            if nxt is not None:
+                break
+            step *= 0.5
+            if step < ODE_DT_MIN:
+                raise ConvergenceError("step size collapsed below dt_min", x)
+        x = nxt
+        t += step
+        samples.append((t, x))
+    return samples
+
+
 def direct_mass_action_rhs(g: EGraph, kvals, x):
     """Direct exact evaluation of the polynomial right-hand side."""
     acc = [Fraction(0)] * g.n
@@ -203,6 +278,20 @@ def direct_mass_action_rhs(g: EGraph, kvals, x):
             mono *= Fraction(xi) ** int(yi)
         for r in range(g.n):
             acc[r] += Fraction(kvals[ei]) * mono * (g.vertices[t][r] - g.vertices[s][r])
+    return tuple(acc)
+
+
+def direct_float_mass_action_rhs(g: EGraph, kvals, x):
+    """Float evaluation of the right-hand side edge by edge, converting each
+    rate, exponent and reaction-vector coordinate where it is used."""
+    acc = [0.0] * g.n
+    for ei, (s, t) in enumerate(g.edges):
+        mono = 1.0
+        for xi, yi in zip(x, g.vertices[s]):
+            mono *= float(xi) ** float(yi)
+        c = float(kvals[ei]) * mono
+        for r in range(g.n):
+            acc[r] += c * float(g.vertices[t][r] - g.vertices[s][r])
     return tuple(acc)
 
 

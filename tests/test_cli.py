@@ -1,5 +1,7 @@
 import json
 import math
+import random
+import resource
 from fractions import Fraction
 from pathlib import Path
 
@@ -7,6 +9,8 @@ import pytest
 
 from crnlocus import EGraph, EdgeVector, parse_egraph
 from crnlocus.cli import main
+from crnlocus.equiv import j0_dimension
+from crnlocus.jsonutil import rational_from_json, rational_str, rational_to_json
 
 from capped import CLI, run_capped
 from fixture_graphs import g_k4, g_long_cycle
@@ -220,6 +224,20 @@ class TestCheck:
         assert doc["verdict"] is True and doc["witness"]["mode"] == "approximate"
         assert math.isclose(doc["witness"]["x"][0], 2 ** -1e-12, rel_tol=1e-12)
 
+    def test_toric_witness_past_the_digit_limit(self, capsys, tmp_path):
+        # the exact witness 2^-20000 has a 6,021-digit denominator, more than
+        # the interpreter converts to a string by default
+        g = EGraph(1, [(0,), (Fraction(1, 20000),)], [(0, 1), (1, 0)])
+        gf, kf = tmp_path / "g.json", tmp_path / "k.json"
+        gf.write_text(json.dumps(g.to_json_dict()))
+        kf.write_text(EdgeVector(g, [1, 2]).to_json())
+        code, doc, err = run_json(capsys, "check", "toric", gf, kf)
+        assert code == 0, err
+        assert doc["witness"]["mode"] == "exact"
+        assert rational_from_json(doc["witness"]["x"][0]) == Fraction(1, 2**20000)
+        code, out, err = run(capsys, "check", "toric", gf, kf)
+        assert code == 0 and "verdict=true" in out, err
+
     def test_cb_flux_on_g_in_false_with_note(self, capsys):
         code, doc, _ = run_json(
             capsys, "check", "cb-flux", DATA / "g_in.json", DATA / "in_uniform1.json"
@@ -256,6 +274,46 @@ class TestPsi:
         assert doc["result"]["mode"] == "exact"
         assert doc["result"]["k"]["values"] == [4, 4, 4, 4]
         assert doc["result"]["q"] == ["1/3", "2/9", "-1/3"]
+
+    def test_forward_values_past_the_digit_limit(self, capsys, tmp_path):
+        # a D0 coordinate of -1/2^20000 reads in, and the rates it shifts
+        # print, in JSON and in text
+        g = EGraph(1, [(0,), (1,), (2,)], [(0, 1), (1, 0), (1, 2), (2, 1)])
+        gf, inp = tmp_path / "g.json", tmp_path / "in.json"
+        gf.write_text(json.dumps(g.to_json_dict()))
+        p = Fraction(-1, 2**20000)
+        inp.write_text(json.dumps({
+            "j": EdgeVector.uniform(g).to_json_dict(), "x": [1], "p": [rational_to_json(p)],
+        }))
+        code, doc, err = run_json(capsys, "psi", "forward", gf, gf, inp)
+        assert code == 0, err
+        k = [rational_from_json(v) for v in doc["result"]["k"]["values"]]
+        assert k == [1, p, p, 1]
+        code, out, err = run(capsys, "psi", "forward", gf, gf, inp)
+        assert code == 0 and f"'{rational_str(p)}'" in out, err
+
+    def test_forward_on_a_long_path(self, tmp_path):
+        # bidirected 1-D path of 150 vertices, uniform flux: D0 has one vector
+        # per inner vertex, and the shift to D0-coordinates 0 leaves rate 1 on
+        # the two end edges only
+        m = 150
+        g = EGraph(1, [(i,) for i in range(m)],
+                   sorted([(i, i + 1) for i in range(m - 1)] + [(i + 1, i) for i in range(m - 1)]))
+        gf, inp = tmp_path / "g.json", tmp_path / "in.json"
+        gf.write_text(json.dumps(g.to_json_dict()))
+        inp.write_text(json.dumps(
+            {"j": EdgeVector.uniform(g).to_json_dict(), "x": [1], "p": [0] * (m - 2)}
+        ))
+        before = resource.getrusage(resource.RUSAGE_CHILDREN)
+        proc = run_capped(CLI, "--output", "json", "psi", "forward", gf, gf, inp)
+        after = resource.getrusage(resource.RUSAGE_CHILDREN)
+        assert proc.returncode == 0, proc.stderr
+        res = json.loads(proc.stdout)["result"]
+        assert res["mode"] == "exact"
+        assert res["k"]["values"] == [1] + [0] * (g.num_edges - 2) + [1]
+        assert len(res["q"]) == j0_dimension(g)
+        cpu = (after.ru_utime + after.ru_stime) - (before.ru_utime + before.ru_stime)
+        assert cpu < 10, f"psi forward on the {m}-vertex path took {cpu:.1f} s of CPU"
 
     def test_inverse_round_trip(self, capsys):
         code, doc, _ = run_json(
@@ -495,3 +553,17 @@ def test_runs_without_numpy(tmp_path):
     assert x["mode"] == "approximate"
     assert all(math.isclose(v, 1.75, rel_tol=1e-10) for v in x["x"])
     assert cli("check", "toric", DATA / "g_k4.json", DATA / "k4_uniform1.json")["verdict"] is True
+
+
+def test_rational_strings_past_the_digit_limit():
+    assert rational_str(Fraction(10**5000 - 1)) == "9" * 5000
+    assert rational_str(Fraction(-(10**4400 + 7), 3)) == "-1" + "0" * 4399 + "7/3"
+    # JSON numbers up to the interpreter's limit, digit strings beyond it
+    assert rational_to_json(Fraction(10**4300 - 1)) == 10**4300 - 1
+    assert rational_to_json(Fraction(10**4300)) == "1" + "0" * 4300
+    rng = random.Random(5)
+    for _ in range(20):
+        x = Fraction(rng.getrandbits(rng.randint(1, 30000)) * rng.choice((1, -1)),
+                     rng.getrandbits(rng.randint(1, 30000)) + 1)
+        assert rational_from_json(rational_to_json(x)) == x
+        assert rational_from_json(rational_str(x)) == x

@@ -36,9 +36,11 @@ from fixture_graphs import (
 from oracles import (
     d0_constraint_matrix,
     global_reduction_d0_basis,
+    direct_float_mass_action_rhs,
     direct_mass_action_rhs,
     direct_net_vectors,
     random_edge_vector,
+    random_four_vertex_graph,
     random_positive_rational,
     random_small_egraph,
     random_wr_egraph,
@@ -101,6 +103,14 @@ class TestMassActionRhs:
             k = random_edge_vector(g, rng, positive=True)
             x = tuple(random_positive_rational(rng) for _ in range(g.n))
             assert mass_action_rhs(g, k, x) == direct_mass_action_rhs(g, k.values, x)
+
+    def test_float_mode_bit_identical_to_direct_oracle(self):
+        rng = random.Random(78)
+        for den in (1, 2) * 20:
+            g = random_four_vertex_graph(rng, rng.randint(1, 3), den)
+            k = random_edge_vector(g, rng, positive=True)
+            x = tuple(rng.uniform(0.1, 3.0) for _ in range(g.n))
+            assert mass_action_rhs(g, k, x) == direct_float_mass_action_rhs(g, k.values, x)
 
     def test_exact_mode_requires_integer_coords(self):
         g = g_in()  # center at (1/2, 1/2)

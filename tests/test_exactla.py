@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crnlocus import (
+    EGraph,
     RationalMatrix,
     Subspace,
     coords_in_basis,
@@ -16,17 +17,29 @@ from crnlocus import (
     solve_particular,
     subspace_from_span,
 )
+from crnlocus.equiv import d0_basis, j0_basis
 from crnlocus.exactla import bareiss, dot, integer_rows, vec
 
-from fixture_graphs import g_k4
+from fixture_graphs import (
+    g_cyc,
+    g_in,
+    g_k4,
+    g_long_cycle,
+    g_three_cycle,
+    g_two_classes,
+    g_two_vertex,
+)
 from oracles import (
     cofactor_det,
     d0_constraint_matrix,
+    dense_coords_in_basis,
+    dense_orthogonalize,
     matvec,
     naive_kernel,
     naive_rref,
     naive_solve,
     random_engine_matrix,
+    random_four_vertex_graph,
     random_rational,
 )
 
@@ -277,3 +290,54 @@ def test_det_cross_check_random():
         n = rng.randint(1, 4)
         rows = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)] for _ in range(n)]
         assert det(RationalMatrix.from_rows(rows)) == cofactor_det(rows)
+
+
+def _random_half_integer_network(rng: random.Random) -> EGraph:
+    """5 to 8 distinct points of ((1/2)Z)^3 with |coordinate| <= 2, joined by
+    the bidirected closure of random edges that touch every point."""
+    m = rng.randint(5, 8)
+    points: set[tuple[Fraction, ...]] = set()
+    while len(points) < m:
+        points.add(tuple(Fraction(rng.randint(-4, 4), 2) for _ in range(3)))
+    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    while True:
+        chosen = rng.sample(pairs, rng.randint(m - 1, 2 * m))
+        if len({v for e in chosen for v in e}) == m:
+            edges = sorted(set(chosen) | {(t, s) for s, t in chosen})
+            return EGraph(3, sorted(points), edges)
+
+
+def _oracle_graphs():
+    fixtures = [g_cyc(), g_k4(), g_in(), g_two_vertex(), g_three_cycle(), g_two_classes(),
+                g_long_cycle(30)]
+    rng = random.Random(2026)
+    four = [random_four_vertex_graph(rng, n, den) for n in (2, 3) for den in (1, 2)
+            for _ in range(55)]
+    return fixtures + four + [_random_half_integer_network(rng) for _ in range(40)]
+
+
+def test_support_gram_schmidt_and_coords_match_dense_oracles():
+    """On the D0 and J0 bases of every fixture, of 220 random four-vertex
+    graphs and of 40 random 3-D half-integer networks, the support-wise
+    Gram-Schmidt and coordinates return exactly the dense results."""
+    rng = random.Random(16)
+    nonempty = 0
+    for g in _oracle_graphs():
+        for s in (d0_basis(g), j0_basis(g)):
+            o = orthogonalize(s)
+            assert o.basis == dense_orthogonalize(s).basis
+            if not s.basis:
+                continue
+            nonempty += 1
+            sparse_v = [random_rational(rng) if rng.random() < 0.3 else 0 for _ in range(s.ambient)]
+            for v in ([random_rational(rng) for _ in range(s.ambient)], sparse_v, s.basis[-1]):
+                assert coords_in_basis(v, o.basis) == dense_coords_in_basis(v, o.basis)
+                assert coords_in_basis(v, s.basis) == dense_coords_in_basis(v, s.basis)
+    assert nonempty >= 100  # 117 of the 534 bases are nonempty
+
+
+def test_coords_keep_the_length_check_and_zero_division():
+    with pytest.raises(ValueError, match="lengths 2 and 3"):
+        coords_in_basis([1, 2], [vec([1, 0, 0])])
+    with pytest.raises(ZeroDivisionError):
+        coords_in_basis([1, 2], [vec([0, 0])])

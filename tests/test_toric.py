@@ -31,6 +31,7 @@ from oracles import (
     naive_exact_witness,
     naive_rref,
     numeric_toric_search,
+    rk4_every_stage,
 )
 
 
@@ -426,6 +427,27 @@ class TestOdeTrajectory:
         g = EGraph(1, [(0,), (1,)], [(0, 1), (1, 0)])
         traj = ode_trajectory(g, EdgeVector.uniform(g), (10.0,), t_end=3.75, dt=1.5)
         assert [t for t, _ in traj] == [0.0, 0.75, 2.25, 3.75]
+
+    @pytest.mark.parametrize(
+        "g,rates,x0,t_end,dt",
+        [
+            # integer coordinates
+            (g_k4(), [1, 2, Fraction(1, 3), 3, 1, Fraction(5, 2), 2, 1, 4, 1, Fraction(1, 2), 3],
+             (1.4, 0.7), 2.0, 0.05),
+            # half-integer coordinates: float exponents
+            (EGraph(2, [(0, 0), (Fraction(1, 2), 0), (Fraction(1, 2), Fraction(3, 2))],
+                    [(0, 1), (1, 0), (1, 2), (2, 0)]),
+             [3, Fraction(1, 2), 2, Fraction(7, 3)], (0.6, 1.9), 1.5, 0.03),
+            # x' = 1 - x from x = 10: the first step of 1.5 is rejected and halved
+            (g_two_vertex(), [1, 1], (10.0,), 3.75, 1.5),
+        ],
+        ids=["integer", "half-integer", "rejection"],
+    )
+    def test_bit_identical_to_rk4_on_the_one_shot_field(self, g, rates, x0, t_end, dt):
+        k = EdgeVector(g, rates)
+        traj = ode_trajectory(g, k, x0, t_end=t_end, dt=dt)
+        assert traj == rk4_every_stage(g, k, x0, t_end, dt)
+        assert len(traj) > 3
 
     def test_positivity_loss_aborts(self):
         # constant drift toward the boundary: x' = -1 regardless of state
