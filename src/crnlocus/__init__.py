@@ -15,7 +15,6 @@ from .egraph import (
     NotWeaklyReversibleError,
     complete_graph,
     edge_subgraph,
-    enumerate_wr_subgraphs,
     is_weakly_reversible,
     linkage_classes,
     parse_egraph,
@@ -39,15 +38,12 @@ from .equiv import (
     edge_vector_from_json,
     is_dynamically_equivalent,
     j0_basis,
-    mass_action_rhs,
     net_vectors,
     realize_on,
 )
 from .cone import (
     ConeResult,
     PositivityResult,
-    balance_subspace,
-    hat_jr_dimension,
     is_complex_balanced_flux,
     is_member_jr,
     membership_failure,
@@ -61,7 +57,6 @@ from .toric import (
     ToricDecision,
     TreeConstants,
     birch_point,
-    check_complex_balanced_at,
     is_toric,
     lyapunov_value,
     ode_trajectory,

@@ -14,11 +14,13 @@ system of balance rows alone is nonempty because g1 is weakly
 reversible; the report's witness sums, over the edges s -> t, the cycles
 closed through the smallest vertex of the linkage class by a BFS
 in-tree (t -> root) and out-tree (root -> s), in linear time.
-A sign-definite row certifies emptiness by its absolute values.  Else an
-exact rational phase-1 simplex with Bland's rule decides on the
-canonical reduced echelon basis of the subspace, and its dual certifies
-emptiness.  Every certificate is checked nonnegative, nonzero and
-orthogonal to that basis.
+That witness is checked against the integer rows themselves, so a
+balance-only cone builds no basis: its dimension is |E(g1)| minus the
+row count.  A sign-definite row certifies emptiness by its absolute
+values.  Else an exact rational phase-1 simplex with Bland's rule
+decides on the canonical reduced echelon basis of the subspace, and its
+dual certifies emptiness.  Every certificate is checked nonnegative,
+nonzero and orthogonal to that basis.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from .egraph import EGraph, NotWeaklyReversibleError, bfs, is_weakly_reversible,
 from .equiv import (
     EdgeVector,
     balance_rows,
-    j0_basis,
     realize_with_diagnostic,
     vertex_imbalance,
     vertex_rows,
@@ -181,11 +182,6 @@ def _certified_empty(cert: Vec, s: Subspace) -> PositivityResult:
     return PositivityResult(feasible=False, certificate=cert)
 
 
-def balance_subspace(g: EGraph) -> Subspace:
-    """Kernel of the per-vertex flux balance rows alone."""
-    return kernel_basis(RationalMatrix.from_rows(balance_rows(g), cols=g.num_edges))
-
-
 def is_complex_balanced_flux(g: EGraph, j: EdgeVector) -> bool:
     """Strictly positive flux with equal in- and out-flow at every vertex."""
     if not j.is_strictly_positive:
@@ -235,7 +231,8 @@ def farkas_row(rows: Sequence[Sequence[int]]) -> Sequence[int] | None:
 
 def _cone_basis(rows: list[list[int]], nedges: int) -> Subspace:
     """The canonical reduced echelon basis of the kernel of ``rows``: the
-    one basis the simplex pivots on, in the scan and in the report."""
+    one basis the simplex pivots on, in the scan and in the report, built
+    only where a sign-definite row or the simplex decides the cone."""
     kernel = kernel_basis(RationalMatrix.from_rows(rows, cols=nedges))
     return subspace_from_span(kernel.basis, nedges)
 
@@ -297,9 +294,10 @@ def _cycle_flux(g1: EGraph) -> EdgeVector:
 
 @dataclass(frozen=True)
 class ConeResult:
-    """Dimension and positivity data for a realizable-flux cone."""
+    """Dimension and positivity data for a realizable-flux cone: ``tilde_dim``
+    is the dimension of its subspace, ``dim`` that or 0 for an empty cone."""
 
-    tilde_basis: Subspace
+    tilde_dim: int
     status: str  # "empty" | "nonempty"
     dim: int
     witness: EdgeVector | None = None
@@ -309,7 +307,7 @@ class ConeResult:
         return {
             "status": self.status,
             "dim": self.dim,
-            "tilde_dim": self.tilde_basis.dim,
+            "tilde_dim": self.tilde_dim,
             "witness": rationals_to_json(self.witness.values) if self.witness else None,
         }
 
@@ -345,46 +343,27 @@ def is_member_jr(g1: EGraph, g: EGraph, j: EdgeVector) -> bool:
 def jr_dimension(g1: EGraph, g: EGraph) -> ConeResult:
     """ConeResult for the pair: dimension plus a verified witness or certificate.
 
-    A balance-only system takes the cycle flux as its witness; otherwise
-    a sign-definite row, in absolute value, certifies emptiness, and the
-    exact simplex decides the rest.  Every witness is re-verified by the
-    membership test before it is reported.
+    A balance-only system takes the cycle flux as its witness, checked
+    against the integer rows, and builds no basis; otherwise a
+    sign-definite row, in absolute value, certifies emptiness, and the
+    exact simplex decides the rest, both on the canonical basis.  Every
+    witness is re-verified by the membership test before it is reported.
     """
     rows, balance_only = _cone_rows(g1, g)
-    tilde = _cone_basis(rows, g1.num_edges)
+    tilde_dim = g1.num_edges - len(rows)
     if balance_only:
         witness = _cycle_flux(g1)
-        if not tilde.contains(witness.values):
+        if any(sum(c * v for c, v in zip(r, witness.values) if c) for r in rows):
             raise RuntimeError("cycle flux fell outside the balance kernel")
     else:
+        tilde = _cone_basis(rows, g1.num_edges)
         row = farkas_row(rows)
         res = positive_point(tilde) if row is None else _certified_empty(vec(map(abs, row)), tilde)
         if not res.feasible:
             return ConeResult(
-                tilde_basis=tilde, status="empty", dim=0, certificate=res.certificate
+                tilde_dim=tilde_dim, status="empty", dim=0, certificate=res.certificate
             )
         witness = EdgeVector(g1, res.point)
     if not is_member_jr(g1, g, witness):
         raise RuntimeError("cone witness failed the membership re-check")
-    return ConeResult(tilde_basis=tilde, status="nonempty", dim=tilde.dim, witness=witness)
-
-
-def hat_jr_dimension(g1: EGraph, g: EGraph) -> int:
-    """Dimension of the cone subspace extended by J0(g1) directions.
-
-    Equals the plain cone dimension whenever the cone is nonempty; the
-    equality is asserted because its failure would indicate a
-    constraint-assembly bug.
-    """
-    result = jr_dimension(g1, g)
-    if result.status == "empty":
-        raise ValueError("the extended cone dimension is defined for nonempty cones")
-    joined = subspace_from_span(
-        list(result.tilde_basis.basis) + list(j0_basis(g1).basis), g1.num_edges
-    )
-    if joined.dim != result.dim:
-        raise RuntimeError(
-            "internal inconsistency: J0(g1) escapes the cone subspace "
-            f"({joined.dim} != {result.dim}); constraint assembly is buggy"
-        )
-    return joined.dim
+    return ConeResult(tilde_dim=tilde_dim, status="nonempty", dim=tilde_dim, witness=witness)

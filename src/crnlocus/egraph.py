@@ -325,16 +325,6 @@ def wr_masks_by_size(g: EGraph, cap: int | None = None) -> Iterator[int]:
     return _wr_masks(g, _masks_by_size(g.num_edges), cap)
 
 
-def enumerate_wr_subgraphs(g: EGraph, cap: int | None = None) -> Iterator[EGraph]:
-    """Every weakly reversible subgraph of g, as graphs on the edge endpoints.
-
-    Deterministic ascending-bitmask order over g's edge sequence; stops
-    after ``cap`` graphs when a cap is given.
-    """
-    for mask in iter_wr_edge_masks(g, cap):
-        yield edge_subgraph(g, [i for i in range(g.num_edges) if mask >> i & 1])
-
-
 def stoich_dim(g: EGraph) -> int:
     """Dimension of the span of the reaction vectors."""
     if not g.edges:

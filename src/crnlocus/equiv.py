@@ -173,17 +173,6 @@ def mass_action_field(
     return field
 
 
-def mass_action_rhs(g: EGraph, k: EdgeVector, x: Sequence) -> tuple:
-    """The polynomial vector field of (g, k) evaluated at the positive state x:
-    one call of the field ``mass_action_field`` builds.
-
-    Returns exact Fractions when the vertex coordinates are integers and
-    x is rational; otherwise floats (the numeric type is the
-    approximate-mode flag).
-    """
-    return mass_action_field(g, k, all(isinstance(xi, (int, Fraction)) for xi in x))(x)
-
-
 def balance_rows(g: EGraph) -> list[list[int]]:
     """One row per vertex: incoming minus outgoing edge weights."""
     rows = [[0] * g.num_edges for _ in range(g.num_vertices)]

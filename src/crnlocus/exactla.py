@@ -194,14 +194,6 @@ class Subspace:
         stacked = RationalMatrix.from_rows(list(self.basis) + [w])
         return rank(stacked) == self.dim
 
-    def is_subspace_of(self, other: "Subspace") -> bool:
-        if self.ambient != other.ambient:
-            raise ValueError("ambient dimensions differ")
-        return all(other.contains(b) for b in self.basis)
-
-    def spans_same(self, other: "Subspace") -> bool:
-        return self.is_subspace_of(other) and other.is_subspace_of(self)
-
 
 def subspace_from_span(vectors: Sequence[Sequence[Rat]], ambient: int) -> Subspace:
     """Subspace spanned by ``vectors``, with a canonical row-reduced basis."""

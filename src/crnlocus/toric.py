@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .egraph import EGraph, NotWeaklyReversibleError, is_weakly_reversible, linkage_classes
-from .equiv import EdgeVector, mass_action_field, state_power, vertex_imbalance
+from .equiv import EdgeVector, mass_action_field
 from .exactla import (
     RationalMatrix,
     Vec,
@@ -40,7 +40,6 @@ _ONE = Fraction(1)
 
 NEWTON_GRAD_TOL = 1e-12
 NEWTON_MAX_ITER = 200
-CB_REL_TOL = 1e-10
 ODE_DT_MIN = 1e-9
 
 
@@ -284,25 +283,6 @@ def _cb_relative_residual(g: EGraph, k: EdgeVector, x: Sequence) -> float:
     return worst
 
 
-def check_complex_balanced_at(g: EGraph, k: EdgeVector, x: Sequence) -> bool:
-    """Per-vertex inflow equals outflow at state x, for strictly positive rates.
-
-    Exact comparison when the vertex coordinates are integers and both k
-    and x are rational; otherwise the relative residual is held to
-    CB_REL_TOL.
-    """
-    if not k.is_strictly_positive:
-        raise ValueError("complex balance is defined for strictly positive rates")
-    for xi in x:
-        if not (xi > 0):
-            raise ValueError("state must be strictly positive")
-    exact = g.has_integer_coordinates() and all(isinstance(v, (int, Fraction)) for v in x)
-    if exact:
-        flux = [kv * state_power(x, g.vertices[s], True) for kv, (s, _) in zip(k.values, g.edges)]
-        return not any(vertex_imbalance(g, flux))
-    return _cb_relative_residual(g, k, x) <= CB_REL_TOL
-
-
 def birch_point(g: EGraph, xstar: Sequence, x0: Sequence) -> SteadyState:
     """The unique positive point of x0's affine class with log x - log x* orthogonal
     to the stoichiometric subspace.
@@ -381,8 +361,11 @@ def ode_trajectory(
     The float field is built once per trajectory and evaluated at every
     stage.  A step that leaves the positive orthant is rejected and
     retried with a halved step; below ODE_DT_MIN the integration aborts.
-    Every step starts again from dt.
+    Every step starts again from dt, which must be finite and positive,
+    and t_end must be finite, so the integration ends.
     """
+    if not (dt > 0 and math.isfinite(dt) and math.isfinite(t_end)):
+        raise ValueError(f"need a finite dt > 0 and a finite t_end, got dt={dt}, t_end={t_end}")
     for v in x0:
         if not (v > 0):
             raise ValueError("initial state must be strictly positive")

@@ -5,6 +5,13 @@ against exact bases, with the cone subspace from the monolithic
 construction ``monolithic_jr_subspace``, and ``rk4_every_stage`` checks
 ``ode_trajectory`` against the one-shot ``mass_action_rhs``, which the
 direct right-hand-side oracles check in turn.
+
+Also here are helpers that only tests call, with the bodies they had in
+the package: ``hat_jr_dimension`` (the cone subspace joined with J0),
+``balance_subspace``, ``enumerate_wr_subgraphs``,
+``check_complex_balanced_at`` with its tolerance ``CB_REL_TOL``,
+``mass_action_rhs``, and the subspace comparisons ``is_subspace_of`` and
+``spans_same``.
 """
 
 from __future__ import annotations
@@ -13,20 +20,109 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from typing import Iterator, Sequence
 
 from crnlocus import (
     EGraph,
     EdgeVector,
     RationalMatrix,
     Subspace,
+    jr_dimension,
+    jr_subspace,
     kernel_basis,
     positive_point,
     subspace_from_span,
 )
-from crnlocus.egraph import stoich_dim
-from crnlocus.equiv import d0_basis, j0_basis, mass_action_rhs
+from crnlocus.egraph import edge_subgraph, iter_wr_edge_masks, stoich_dim
+from crnlocus.equiv import (
+    balance_rows,
+    d0_basis,
+    j0_basis,
+    mass_action_field,
+    state_power,
+    vertex_imbalance,
+)
 from crnlocus.exactla import Vec, dot, vec
-from crnlocus.toric import ODE_DT_MIN, ConvergenceError
+from crnlocus.toric import ODE_DT_MIN, ConvergenceError, _cb_relative_residual
+
+CB_REL_TOL = 1e-10
+
+
+def is_subspace_of(s: Subspace, other: Subspace) -> bool:
+    """Every basis vector of s lies in other."""
+    if s.ambient != other.ambient:
+        raise ValueError("ambient dimensions differ")
+    return all(other.contains(b) for b in s.basis)
+
+
+def spans_same(s: Subspace, other: Subspace) -> bool:
+    return is_subspace_of(s, other) and is_subspace_of(other, s)
+
+
+def balance_subspace(g: EGraph) -> Subspace:
+    """Kernel of the per-vertex flux balance rows alone."""
+    return kernel_basis(RationalMatrix.from_rows(balance_rows(g), cols=g.num_edges))
+
+
+def hat_jr_dimension(g1: EGraph, g: EGraph) -> int:
+    """Dimension of the cone subspace extended by J0(g1) directions.
+
+    Equals the plain cone dimension whenever the cone is nonempty; the
+    equality is asserted because its failure would indicate a
+    constraint-assembly bug.
+    """
+    result = jr_dimension(g1, g)
+    if result.status == "empty":
+        raise ValueError("the extended cone dimension is defined for nonempty cones")
+    joined = subspace_from_span(
+        list(jr_subspace(g1, g).basis) + list(j0_basis(g1).basis), g1.num_edges
+    )
+    if joined.dim != result.dim:
+        raise RuntimeError(
+            "internal inconsistency: J0(g1) escapes the cone subspace "
+            f"({joined.dim} != {result.dim}); constraint assembly is buggy"
+        )
+    return joined.dim
+
+
+def enumerate_wr_subgraphs(g: EGraph, cap: int | None = None) -> Iterator[EGraph]:
+    """Every weakly reversible subgraph of g, as graphs on the edge endpoints.
+
+    Deterministic ascending-bitmask order over g's edge sequence; stops
+    after ``cap`` graphs when a cap is given.
+    """
+    for mask in iter_wr_edge_masks(g, cap):
+        yield edge_subgraph(g, [i for i in range(g.num_edges) if mask >> i & 1])
+
+
+def check_complex_balanced_at(g: EGraph, k: EdgeVector, x: Sequence) -> bool:
+    """Per-vertex inflow equals outflow at state x, for strictly positive rates.
+
+    Exact comparison when the vertex coordinates are integers and both k
+    and x are rational; otherwise the relative residual is held to
+    CB_REL_TOL.
+    """
+    if not k.is_strictly_positive:
+        raise ValueError("complex balance is defined for strictly positive rates")
+    for xi in x:
+        if not (xi > 0):
+            raise ValueError("state must be strictly positive")
+    exact = g.has_integer_coordinates() and all(isinstance(v, (int, Fraction)) for v in x)
+    if exact:
+        flux = [kv * state_power(x, g.vertices[s], True) for kv, (s, _) in zip(k.values, g.edges)]
+        return not any(vertex_imbalance(g, flux))
+    return _cb_relative_residual(g, k, x) <= CB_REL_TOL
+
+
+def mass_action_rhs(g: EGraph, k: EdgeVector, x: Sequence) -> tuple:
+    """The polynomial vector field of (g, k) evaluated at the positive state x:
+    one call of the field ``mass_action_field`` builds.
+
+    Returns exact Fractions when the vertex coordinates are integers and
+    x is rational; otherwise floats (the numeric type is the
+    approximate-mode flag).
+    """
+    return mass_action_field(g, k, all(isinstance(xi, (int, Fraction)) for xi in x))(x)
 
 
 def reachability_weakly_reversible(g: EGraph) -> bool:

@@ -9,8 +9,6 @@ from crnlocus import (
     EdgeVector,
     NotWeaklyReversibleError,
     Subspace,
-    balance_subspace,
-    hat_jr_dimension,
     is_complex_balanced_flux,
     is_member_jr,
     is_weakly_reversible,
@@ -24,7 +22,14 @@ from crnlocus.exactla import combine, dot, subspace_from_span, vec
 from crnlocus.locus import canonical_j0_obasis
 
 from fixture_graphs import g_cyc, g_in, g_k4, g_long_cycle
-from oracles import direct_flux_imbalance, monolithic_jr_subspace, random_positive_rational
+from oracles import (
+    balance_subspace,
+    direct_flux_imbalance,
+    hat_jr_dimension,
+    monolithic_jr_subspace,
+    random_positive_rational,
+    spans_same,
+)
 
 FIXTURE_PAIRS = [
     ("cyc->in", g_cyc(), g_in(), 1),
@@ -61,7 +66,7 @@ class TestJrSubspace:
         # The canonical basis, not just the span, is pinned: the simplex
         # pivots on it, so it fixes every printed witness.
         oracle = monolithic_jr_subspace(g1, g)
-        assert oracle.spans_same(jr_subspace(g1, g))
+        assert spans_same(oracle, jr_subspace(g1, g))
         assert jr_subspace(g1, g).basis == subspace_from_span(oracle.basis, g1.num_edges).basis
         assert oracle.dim == dim
 
@@ -122,7 +127,7 @@ class TestJrDimension:
         assert res.dim == 0
         cert = res.certificate
         assert all(c >= 0 for c in cert) and any(c > 0 for c in cert)
-        for b in res.tilde_basis.basis:
+        for b in jr_subspace(g1, g).basis:
             assert dot(cert, b) == 0
 
     def test_sign_definite_row_decides_without_simplex(self, monkeypatch):
@@ -135,7 +140,7 @@ class TestJrDimension:
         assert res.status == "empty" and res.dim == 0
         cert = res.certificate
         assert all(isinstance(c, Fraction) and c >= 0 for c in cert) and any(cert)
-        for b in res.tilde_basis.basis:
+        for b in jr_subspace(g1, g).basis:
             assert dot(cert, b) == 0
 
     def test_not_wr_refused_before_ambient_dimension(self):
@@ -154,11 +159,33 @@ class TestJrDimension:
         assert d["witness"] is not None
 
     def test_status_matches_lp_feasibility(self):
-        # the cycle-completion shortcut must agree with the simplex verdict
+        # the cycle-completion shortcut must agree with the simplex verdict,
+        # and the reported tilde_dim with the dimension of the canonical basis
         pairs = [(g1, g) for _, g1, g, _ in FIXTURE_PAIRS] + [empty_pair()]
         for g1, g in pairs:
-            nonempty = jr_dimension(g1, g).status == "nonempty"
-            assert positive_point(jr_subspace(g1, g)).feasible == nonempty
+            res = jr_dimension(g1, g)
+            tilde = jr_subspace(g1, g)
+            assert positive_point(tilde).feasible == (res.status == "nonempty")
+            assert res.to_json_dict()["tilde_dim"] == tilde.dim
+
+    def test_balance_only_cone_builds_no_basis(self, monkeypatch):
+        def no_basis(*args):
+            raise AssertionError("a balance-only cone built a basis")
+
+        monkeypatch.setattr(cone, "_cone_basis", no_basis)
+        for g1, g in [(g_k4(), g_k4()), (g_long_cycle(50), g_long_cycle(50))]:
+            res = jr_dimension(g1, g)
+            assert res.status == "nonempty" and res.dim == res.tilde_dim
+            assert is_member_jr(g1, g, res.witness)
+
+    def test_unbalanced_cycle_flux_refused(self, monkeypatch):
+        # positive but unbalanced: one edge carries two units
+        def unbalanced(g1):
+            return EdgeVector(g1, [1] * (g1.num_edges - 1) + [2])
+
+        monkeypatch.setattr(cone, "_cycle_flux", unbalanced)
+        with pytest.raises(RuntimeError, match="^cycle flux fell outside the balance kernel$"):
+            jr_dimension(g_k4(), g_k4())
 
 
 def _sweep_graphs(max_edges):

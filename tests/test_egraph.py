@@ -9,7 +9,6 @@ from crnlocus import (
     EnumerationLimitError,
     GraphValidationError,
     complete_graph,
-    enumerate_wr_subgraphs,
     is_weakly_reversible,
     linkage_classes,
     parse_egraph,
@@ -21,6 +20,7 @@ from fixture_graphs import SQUARE, g_cyc, g_in, g_k4, g_long_cycle, g_two_classe
 from oracles import (
     brute_wr_edge_masks,
     brute_wr_masks_up_to_size,
+    enumerate_wr_subgraphs,
     random_small_egraph,
     reachability_weakly_reversible,
 )

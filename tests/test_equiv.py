@@ -14,12 +14,11 @@ from crnlocus import (
     is_weakly_reversible,
     j0_basis,
     linkage_classes,
-    mass_action_rhs,
     net_vectors,
     parse_egraph,
     realize_on,
 )
-from crnlocus.cone import balance_subspace, positive_point
+from crnlocus.cone import positive_point
 from crnlocus.exactla import combine, vec
 
 from fixture_graphs import (
@@ -34,16 +33,20 @@ from fixture_graphs import (
     g_two_vertex,
 )
 from oracles import (
+    balance_subspace,
     d0_constraint_matrix,
     global_reduction_d0_basis,
     direct_float_mass_action_rhs,
     direct_mass_action_rhs,
     direct_net_vectors,
+    is_subspace_of,
+    mass_action_rhs,
     random_edge_vector,
     random_four_vertex_graph,
     random_positive_rational,
     random_small_egraph,
     random_wr_egraph,
+    spans_same,
 )
 
 
@@ -155,7 +158,7 @@ class TestD0J0:
         rng = random.Random(13)
         graphs = [g_cyc(), g_k4(), g_in()] + [random_small_egraph(rng) for _ in range(30)]
         for g in graphs:
-            assert j0_basis(g).is_subspace_of(d0_basis(g))
+            assert is_subspace_of(j0_basis(g), d0_basis(g))
 
     def test_d0_net_vectors_vanish(self):
         g = g_k4()
@@ -173,9 +176,9 @@ class TestD0J0:
         graphs = [g_cyc(), g_k4(), g_in()] + [random_small_egraph(rng) for _ in range(25)]
         for g in graphs:
             dm = d0_constraint_matrix(g)
-            assert d0_basis(g).spans_same(kernel_basis(dm))
+            assert spans_same(d0_basis(g), kernel_basis(dm))
             stacked = [dm.row(i) for i in range(dm.rows)] + balance_rows(g)
-            assert j0_basis(g).spans_same(kernel_basis(RationalMatrix.from_rows(stacked)))
+            assert spans_same(j0_basis(g), kernel_basis(RationalMatrix.from_rows(stacked)))
 
 
 def _random_graph(rng: random.Random) -> EGraph:

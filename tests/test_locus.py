@@ -55,7 +55,7 @@ def random_cone_member(g1, g, rng) -> EdgeVector:
     """witness + a small random shift inside the constraint subspace."""
     res = jr_dimension(g1, g)
     assert res.status == "nonempty"
-    tilde = res.tilde_basis
+    tilde = jr_subspace(g1, g)
     coeffs = [random_positive_rational(rng) - 1 for _ in range(tilde.dim)]
     shift = combine(coeffs, tilde.basis, g1.num_edges)
     values = list(res.witness.values)
@@ -357,7 +357,7 @@ class TestContinuitySurrogate:
         x = (Fraction(1), Fraction(1))
         p = ()
         base = psi_map(g1, g, j, x, p)
-        tilde_dir = res.tilde_basis.basis[0]
+        tilde_dir = jr_subspace(g1, g).basis[0]
         # normalize the direction so j + delta*dir stays positive at delta=1e-2
         scale = min(abs(v) / (2 * abs(d)) for v, d in zip(j.values, tilde_dir) if d != 0)
         scale = min(scale / Fraction(1, 100), Fraction(100))
@@ -537,9 +537,9 @@ class TestIntegerScan:
             # The exact basis, not just the span: the simplex pivots on it,
             # so it fixes the printed witnesses.
             oracle = monolithic_jr_subspace(sub, g)
-            assert jr_subspace(sub, g).basis == subspace_from_span(
-                oracle.basis, sub.num_edges
-            ).basis, row
+            tilde = jr_subspace(sub, g)
+            assert tilde.basis == subspace_from_span(oracle.basis, sub.num_edges).basis, row
+            assert jr_dimension(sub, g).to_json_dict()["tilde_dim"] == tilde.dim, row
             assert j0_dimension(sub) == dim_j0, row
             if applicable:
                 raw = dim_jr + dim_s + dim_d0 - dim_j0

@@ -1,5 +1,6 @@
 """Package hygiene: every module-level function and class in
-``src/crnlocus`` is used somewhere in the package or exported by it, and
+``src/crnlocus`` is used somewhere in the package or exported by it,
+every exported name has a caller in the package or the benchmark, and
 every module but ``__init__`` uses each name it imports."""
 
 import ast
@@ -86,3 +87,36 @@ def unused_imports() -> list[str]:
 
 def test_every_import_is_used():
     assert unused_imports() == []
+
+
+BENCH = SRC.parents[1] / "perfbench"
+# The paper's cone subspace J~R, kept public for its users though the
+# package itself decides cones from integer rows.
+PUBLIC_WITHOUT_CALLER = {"jr_subspace"}
+
+
+def exports_without_caller() -> list[str]:
+    """Each name ``__init__`` exports that no package module refers to
+    outside its own definition, and no benchmark module refers to."""
+    trees = _trees()
+    modules = [tree for name, tree in trees.items() if name != "__init__.py"]
+    definitions = {
+        node.name: node
+        for tree in modules
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    bench: set[str] = set()
+    for path in sorted(BENCH.glob("*.py")):
+        bench |= _references(ast.parse(path.read_text(), filename=str(path)))
+
+    def has_caller(name: str) -> bool:
+        skip = definitions.get(name)
+        return name in bench or any(name in _references(tree, skip) for tree in modules)
+
+    exported = _exported(trees["__init__.py"]) - PUBLIC_WITHOUT_CALLER
+    return sorted(name for name in exported if not has_caller(name))
+
+
+def test_every_export_has_a_caller():
+    assert exports_without_caller() == []

@@ -12,10 +12,8 @@ from crnlocus import (
     NotWeaklyReversibleError,
     Subspace,
     birch_point,
-    check_complex_balanced_at,
     is_toric,
     lyapunov_value,
-    mass_action_rhs,
     ode_trajectory,
     tree_constants,
 )
@@ -26,7 +24,9 @@ from crnlocus.toric import ToricDecision, _exact_witness
 from capped import run_capped
 from fixture_graphs import g_cyc, g_in, g_k4, g_three_cycle, g_two_classes, g_two_vertex
 from oracles import (
+    check_complex_balanced_at,
     enumerate_rooted_in_trees,
+    mass_action_rhs,
     naive_consistent,
     naive_exact_witness,
     naive_rref,
@@ -448,6 +448,25 @@ class TestOdeTrajectory:
         traj = ode_trajectory(g, k, x0, t_end=t_end, dt=dt)
         assert traj == rk4_every_stage(g, k, x0, t_end, dt)
         assert len(traj) > 3
+
+    @pytest.mark.parametrize(
+        "t_end,dt",
+        [("1", "0"), ("1", "-0.1"), ("1", "nan"), ("inf", "0.1")],
+        ids=["dt-zero", "dt-negative", "dt-nan", "t_end-inf"],
+    )
+    def test_unending_integration_refused(self, t_end, dt):
+        # Each of these inputs once stepped without end, so the call runs
+        # in a capped child that a hang fails by timeout.
+        code = (
+            "import sys; from crnlocus import EGraph, EdgeVector, ode_trajectory; "
+            "g = EGraph(1, [(0,), (1,)], [(0, 1), (1, 0)]); "
+            "t_end, dt = map(float, sys.argv[1:]); "
+            "ode_trajectory(g, EdgeVector.uniform(g), (1.0,), t_end, dt)"
+        )
+        proc = run_capped(code, t_end, dt)
+        assert proc.returncode == 1
+        last = proc.stderr.splitlines()[-1]
+        assert last.startswith("ValueError: need a finite dt > 0"), proc.stderr
 
     def test_positivity_loss_aborts(self):
         # constant drift toward the boundary: x' = -1 regardless of state
