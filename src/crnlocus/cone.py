@@ -201,7 +201,7 @@ def out_span_normals(g: EGraph) -> dict[Vec, list[list[int]]]:
     for vi, edges in enumerate(g.out_edges):
         if edges:
             span = RationalMatrix.from_rows([g.reaction_vectors[ei] for ei in edges], cols=g.n)
-            out[g.vertices[vi]] = integer_rows(kernel_basis(span).basis)
+            out[g.vertices[vi]] = integer_rows(kernel_basis(span))
     return out
 
 
@@ -233,8 +233,7 @@ def _cone_basis(rows: list[list[int]], nedges: int) -> Subspace:
     """The canonical reduced echelon basis of the kernel of ``rows``: the
     one basis the simplex pivots on, in the scan and in the report, built
     only where a sign-definite row or the simplex decides the cone."""
-    kernel = kernel_basis(RationalMatrix.from_rows(rows, cols=nedges))
-    return subspace_from_span(kernel.basis, nedges)
+    return subspace_from_span(kernel_basis(RationalMatrix.from_rows(rows, cols=nedges)), nedges)
 
 
 def cone_dimension(g1: EGraph, normals_at: Mapping[Vec, Sequence[Sequence[int]]]) -> int | None:

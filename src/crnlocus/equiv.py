@@ -132,27 +132,21 @@ def state_power(x: Sequence, y: Vec, exact: bool) -> Fraction | float:
     return out_f
 
 
-def mass_action_field(
-    g: EGraph, k: EdgeVector, rational_states: bool
-) -> Callable[[Sequence], tuple]:
-    """The polynomial vector field of (g, k) as a function of the positive state.
+def mass_action_field(g: EGraph, k: EdgeVector) -> Callable[[Sequence], tuple]:
+    """The polynomial vector field of (g, k), in floats, as a function of the
+    positive state.
 
-    The field is exact, in Fractions, when the vertex coordinates are
-    integers and ``rational_states`` promises rational states; otherwise
-    it is evaluated in floats (the numeric type is the approximate-mode
-    flag).  The rates, source exponents and reaction vectors are converted
-    to that type once, when the field is built, so a caller that evaluates
-    it at many states, such as an ODE integrator, pays for the conversion
+    The rates, source exponents and reaction vectors are converted to
+    floats once, when the field is built, so a caller that evaluates it
+    at many states, such as an ODE integrator, pays for the conversion
     once.  Each call still checks the state's length and positivity.
     """
-    exact = rational_states and g.has_integer_coordinates()
-    num = frac if exact else float
     n = g.n
     terms = [
         (
-            num(k.values[ei]),
-            tuple(num(y) for y in g.vertices[s]),
-            tuple(num(r) for r in g.reaction_vectors[ei]),
+            float(k.values[ei]),
+            tuple(float(y) for y in g.vertices[s]),
+            tuple(float(r) for r in g.reaction_vectors[ei]),
         )
         for ei, (s, _) in enumerate(g.edges)
     ]
@@ -163,9 +157,9 @@ def mass_action_field(
         for xi in x:
             if not (xi > 0):
                 raise ValueError(f"state must be strictly positive, got {xi}")
-        acc = [num(0)] * n
+        acc = [0.0] * n
         for rate, y, rv in terms:
-            c = rate * state_power(x, y, exact)
+            c = rate * state_power(x, y, False)
             for j in range(n):
                 acc[j] += c * rv[j]
         return tuple(acc)
@@ -256,9 +250,9 @@ def d0_basis(g: EGraph) -> Subspace:
         if not out:
             continue
         local = kernel_basis(RationalMatrix.from_rows(_local_rows(g, vi), cols=len(out)))
-        if not local.basis:
+        if not local:
             continue
-        for kv in subspace_from_span(local.basis, len(out)).basis:
+        for kv in subspace_from_span(local, len(out)).basis:
             v = [_ZERO] * g.num_edges
             for ei, x in zip(out, kv):
                 v[ei] = x
@@ -287,7 +281,7 @@ def restrict_to_kernel(sub: Subspace, constraints: Sequence[Sequence[int]]) -> S
                 for i, c in column_entries[e]:
                     reduced[i][j] += c * x
     combos = kernel_basis(RationalMatrix.from_rows(reduced, cols=len(sub.basis)))
-    vectors = [combine(t, sub.basis, sub.ambient) for t in combos.basis]
+    vectors = [combine(t, sub.basis, sub.ambient) for t in combos]
     return subspace_from_span(vectors, sub.ambient)
 
 

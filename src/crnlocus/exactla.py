@@ -167,32 +167,39 @@ def det(m: RationalMatrix) -> Fraction:
 
 @dataclass(frozen=True)
 class Subspace:
-    """A linear subspace of Q^ambient given by a basis of independent vectors."""
+    """A linear subspace of Q^ambient, held as its reduced echelon basis:
+    each vector is 1 at its leading column, the leading columns ascend, and
+    every other vector is 0 there.  The form proves independence without
+    elimination and is unique: Subspaces are equal iff they span one space."""
 
     ambient: int
     basis: tuple[Vec, ...]
 
     def __post_init__(self) -> None:
-        for b in self.basis:
+        later: set[int] = set()  # leading columns of the vectors after this one
+        bound = self.ambient
+        for b in reversed(self.basis):
             if len(b) != self.ambient:
                 raise ValueError("basis vector length differs from ambient dimension")
-        if self.basis and rank(RationalMatrix.from_rows(self.basis)) != len(self.basis):
-            raise ValueError("basis vectors are linearly dependent")
+            nonzero = [j for j, x in enumerate(b) if x]
+            lead = nonzero[0] if nonzero else bound
+            if lead >= bound or b[lead] != 1 or later.intersection(nonzero):
+                raise ValueError("basis is not in reduced echelon form")
+            bound = lead
+            later.add(lead)
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
     def contains(self, v: Sequence[Rat]) -> bool:
+        """Whether v is the combination of the basis by v's own entries at
+        the leading columns, the only combination that can equal it."""
         w = vec(v)
         if len(w) != self.ambient:
             raise ValueError("vector length differs from ambient dimension")
-        if all(x == 0 for x in w):
-            return True
-        if not self.basis:
-            return False
-        stacked = RationalMatrix.from_rows(list(self.basis) + [w])
-        return rank(stacked) == self.dim
+        leads = [next(j for j, x in enumerate(b) if x) for b in self.basis]
+        return w == combine([w[c] for c in leads], self.basis, self.ambient)
 
 
 def subspace_from_span(vectors: Sequence[Sequence[Rat]], ambient: int) -> Subspace:
@@ -211,7 +218,7 @@ def subspace_from_span(vectors: Sequence[Sequence[Rat]], ambient: int) -> Subspa
     )
 
 
-def kernel_basis(m: RationalMatrix) -> Subspace:
+def kernel_basis(m: RationalMatrix) -> tuple[Vec, ...]:
     """Canonical basis of the right kernel {x : Mx = 0}.
 
     One basis vector per free column f of the reduced echelon form, with
@@ -220,17 +227,19 @@ def kernel_basis(m: RationalMatrix) -> Subspace:
     a = integer_rows(m.row(i) for i in range(m.rows))
     pivots, _ = bareiss(a, m.cols, reduced=True)
     pivot_set = set(pivots)
+    free = [f for f in range(m.cols) if f not in pivot_set]
     basis: list[Vec] = []
-    for f in range(m.cols):
-        if f in pivot_set:
-            continue
+    for f in free:
         v = [_ZERO] * m.cols
         v[f] = _ONE
         for row, p in zip(a, pivots):
             if row[f]:
                 v[p] = Fraction(-row[f], row[p])
         basis.append(tuple(v))
-    return Subspace(m.cols, tuple(basis))
+    # Independent: each vector is 1 at its own free column, 0 at the others'.
+    if any(v[g] != (1 if g == f else 0) for f, v in zip(free, basis) for g in free):
+        raise RuntimeError("kernel vectors are not independent at their free columns")
+    return tuple(basis)
 
 
 def solve_particular(m: RationalMatrix, b: Sequence[Rat]) -> Vec | None:
@@ -257,8 +266,9 @@ def _support(b: Sequence[Fraction]) -> list[int]:
     return [j for j, x in enumerate(b) if x]
 
 
-def orthogonalize(s: Subspace) -> Subspace:
+def orthogonalize(vectors: Sequence[Vec]) -> tuple[Vec, ...]:
     """Gram-Schmidt without normalization: same span, pairwise-orthogonal.
+    A vector that comes out zero, as for dependent input, raises ValueError.
 
     Each output vector's support (its nonzero indices) and squared length
     are recorded once; its product with a later input vector is summed,
@@ -267,7 +277,7 @@ def orthogonalize(s: Subspace) -> Subspace:
     one empty sum against each other.
     """
     done: list[tuple[list[int], Vec, Fraction]] = []  # support, vector, squared length
-    for b in s.basis:
+    for b in vectors:
         g = list(b)
         for support, prev, norm in done:
             d = sum((b[j] * prev[j] for j in support if b[j]), _ZERO)
@@ -277,8 +287,10 @@ def orthogonalize(s: Subspace) -> Subspace:
                     g[j] -= c * prev[j]
         v = tuple(g)
         support = _support(v)
+        if not support:
+            raise ValueError("vectors are linearly dependent")
         done.append((support, v, sum((v[j] * v[j] for j in support), _ZERO)))
-    return Subspace(s.ambient, tuple(v for _, v, _ in done))
+    return tuple(v for _, v, _ in done)
 
 
 def coords_in_basis(v: Sequence[Rat], basis: Sequence[Sequence[Rat]]) -> Vec:

@@ -50,7 +50,7 @@ from .equiv import (
 )
 from .exactla import Rat, Vec, combine, coords_in_basis, orthogonalize, subspace_from_span, vec
 from .jsonutil import rationals_to_json
-from .toric import SteadyState, birch_point, is_toric
+from .toric import SteadyState, _log, birch_point, is_toric
 
 
 # An approximate state power past the float range is built as a float
@@ -64,12 +64,12 @@ class PsiDomainError(ValueError):
 
 def canonical_d0_obasis(g: EGraph) -> tuple[Vec, ...]:
     """The canonical orthogonal (unnormalized) basis of D0(g)."""
-    return orthogonalize(d0_basis(g)).basis
+    return orthogonalize(d0_basis(g).basis)
 
 
 def canonical_j0_obasis(g: EGraph) -> tuple[Vec, ...]:
     """The canonical orthogonal (unnormalized) basis of J0(g)."""
-    return orthogonalize(j0_basis(g)).basis
+    return orthogonalize(j0_basis(g).basis)
 
 
 def psi_small(g1: EGraph, g: EGraph, j: EdgeVector) -> Vec:
@@ -110,15 +110,23 @@ def _shift_to_coords(values: Sequence[Fraction], basis: Sequence[Vec], targets: 
 
 
 def _power_fraction(x: Sequence[Fraction], y: Vec, exact: bool) -> Fraction:
-    """state_power as a Fraction; past the float range it is taken in logs."""
+    """state_power as a Fraction.  A float power that overflows or underflows
+    to 0 is taken in logs, as a float mantissa times a power of two; when a
+    coordinate has no float, from logs of numerators and denominators."""
     try:
-        return Fraction(state_power(x, y, exact))
+        power = state_power(x, y, exact)
+        if 0 < power < math.inf:
+            return Fraction(power)
     except OverflowError:
+        pass
+    try:
         log2 = sum(float(b) * math.log2(a) for a, b in zip(x, y) if b)
-        e = math.floor(log2)
-        if abs(e) > POWER_MAX_BITS:
-            raise
-        return Fraction(2.0 ** (log2 - e)) * Fraction(2) ** e
+    except (OverflowError, ValueError):  # some float(a) overflows or is 0
+        log2 = sum(float(b) * _log(a) for a, b in zip(x, y) if b) / math.log(2)
+    e = math.floor(log2)
+    if abs(e) > POWER_MAX_BITS:
+        raise OverflowError(f"state power 2^{log2:.6g} is past 2^{POWER_MAX_BITS} in size")
+    return Fraction(2.0 ** (log2 - e)) * Fraction(2) ** e
 
 
 def _validate_state(g: EGraph, x: Sequence[Rat], what: str) -> tuple[Fraction, ...]:
@@ -145,7 +153,8 @@ def psi_map(
     canonical orthogonal D0(g) basis, which pins them uniquely.  With an
     x0, the state is additionally checked to lie in x0's affine class.
     Exact for integer vertex coordinates; otherwise the state powers are
-    rounded through floats and the output is flagged approximate.
+    rounded through floats (in logs past their range, ``_power_fraction``)
+    and the output is flagged approximate.
     """
     q = psi_small(g1, g, j)
     xs = _validate_state(g1, x, "state")
@@ -161,13 +170,8 @@ def psi_map(
         if not s_basis.contains([a - b for a, b in zip(xs, x0s)]):
             raise PsiDomainError("state does not lie in the base state's affine class")
     exact = g1.has_integer_coordinates()
-    k1 = EdgeVector(
-        g1,
-        [
-            j.values[ei] / Fraction(state_power(xs, g1.vertices[g1.edges[ei][0]], exact))
-            for ei in range(g1.num_edges)
-        ],
-    )
+    powers = [_power_fraction(xs, y, exact) for y in g1.vertices]
+    k1 = EdgeVector(g1, [v / powers[s] for v, (s, _) in zip(j.values, g1.edges)])
     k_part = realize_on(g1, k1, g)
     if k_part is None:
         raise PsiDomainError("internal: cone member failed to realize at the given state")
@@ -224,10 +228,8 @@ def psi_hat_inverse(
     exact = x.mode == "exact"
     xs = vec(x.x) if exact else tuple(Fraction(float(v)) for v in x.x)
     power_exact = exact and g1.has_integer_coordinates()
-    j1 = [
-        k1.values[ei] * _power_fraction(xs, g1.vertices[g1.edges[ei][0]], power_exact)
-        for ei in range(g1.num_edges)
-    ]
+    powers = [_power_fraction(xs, y, power_exact) for y in g1.vertices]
+    j1 = [v * powers[s] for v, (s, _) in zip(k1.values, g1.edges)]
     a_basis = canonical_j0_obasis(g1)
     qh = vec(q_hat)
     if len(qh) != len(a_basis):

@@ -91,7 +91,7 @@ def tree_constants(g: EGraph, k: EdgeVector) -> TreeConstants:
             if s in pos:
                 lap[pos[s]][pos[s]] += k.values[ei]
                 lap[pos[s]][pos[t]] -= k.values[ei]
-        kernel = kernel_basis(RationalMatrix.from_rows(list(zip(*lap)), cols=m)).basis
+        kernel = kernel_basis(RationalMatrix.from_rows(list(zip(*lap)), cols=m))
         if len(kernel) != 1:
             raise RuntimeError("the out-Laplacian of a strongly connected class must have corank 1")
         root = det(RationalMatrix.from_rows([row[1:] for row in lap[1:]], cols=m - 1))
@@ -311,7 +311,7 @@ def birch_point(g: EGraph, xstar: Sequence, x0: Sequence) -> SteadyState:
     if s_basis.dim == 0:
         return SteadyState(tuple(float(v) for v in x0), "approximate", residual=0.0)
 
-    basis = [[float(v) for v in b] for b in orthogonalize(s_basis).basis]
+    basis = [[float(v) for v in b] for b in orthogonalize(s_basis.basis)]
     xs = [float(v) for v in xstar]
     x = [float(v) for v in x0]
     log_xs = [math.log(v) for v in xs]
@@ -369,7 +369,7 @@ def ode_trajectory(
     for v in x0:
         if not (v > 0):
             raise ValueError("initial state must be strictly positive")
-    f = mass_action_field(g, k, rational_states=False)
+    f = mass_action_field(g, k)
 
     def ok(state: tuple[float, ...]) -> bool:
         return all(v > 0 and math.isfinite(v) for v in state)

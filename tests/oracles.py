@@ -11,7 +11,8 @@ the package: ``hat_jr_dimension`` (the cone subspace joined with J0),
 ``balance_subspace``, ``enumerate_wr_subgraphs``,
 ``check_complex_balanced_at`` with its tolerance ``CB_REL_TOL``,
 ``mass_action_rhs``, and the subspace comparisons ``is_subspace_of`` and
-``spans_same``.
+``spans_same``; ``rank_contains`` is the rank-based membership oracle for
+``Subspace.contains``.
 """
 
 from __future__ import annotations
@@ -59,9 +60,19 @@ def spans_same(s: Subspace, other: Subspace) -> bool:
     return is_subspace_of(s, other) and is_subspace_of(other, s)
 
 
+def rank_contains(s: Subspace, v: Sequence) -> bool:
+    """v lies in s exactly when appending it leaves the naive RREF rank at
+    dim s."""
+    if len(v) != s.ambient:
+        raise ValueError("vector length differs from ambient dimension")
+    return len(naive_rref(list(s.basis) + [list(v)])[1]) == s.dim
+
+
 def balance_subspace(g: EGraph) -> Subspace:
     """Kernel of the per-vertex flux balance rows alone."""
-    return kernel_basis(RationalMatrix.from_rows(balance_rows(g), cols=g.num_edges))
+    return subspace_from_span(
+        kernel_basis(RationalMatrix.from_rows(balance_rows(g), cols=g.num_edges)), g.num_edges
+    )
 
 
 def hat_jr_dimension(g1: EGraph, g: EGraph) -> int:
@@ -115,14 +126,25 @@ def check_complex_balanced_at(g: EGraph, k: EdgeVector, x: Sequence) -> bool:
 
 
 def mass_action_rhs(g: EGraph, k: EdgeVector, x: Sequence) -> tuple:
-    """The polynomial vector field of (g, k) evaluated at the positive state x:
-    one call of the field ``mass_action_field`` builds.
+    """The polynomial vector field of (g, k) evaluated at the positive state x.
 
-    Returns exact Fractions when the vertex coordinates are integers and
-    x is rational; otherwise floats (the numeric type is the
-    approximate-mode flag).
+    Returns exact Fractions, summed edge by edge with exact powers, when
+    the vertex coordinates are integers and x is rational; otherwise
+    floats, from one call of the field ``mass_action_field`` builds (the
+    numeric type is the approximate-mode flag).
     """
-    return mass_action_field(g, k, all(isinstance(xi, (int, Fraction)) for xi in x))(x)
+    if not (g.has_integer_coordinates() and all(isinstance(xi, (int, Fraction)) for xi in x)):
+        return mass_action_field(g, k)(x)
+    if len(x) != g.n:
+        raise ValueError(f"state has {len(x)} entries, ambient dimension is {g.n}")
+    if not all(xi > 0 for xi in x):
+        raise ValueError(f"state must be strictly positive, got {x}")
+    acc = [Fraction(0)] * g.n
+    for rate, (s, _), rv in zip(k.values, g.edges, g.reaction_vectors):
+        c = rate * state_power(x, g.vertices[s], True)
+        for j in range(g.n):
+            acc[j] += c * rv[j]
+    return tuple(acc)
 
 
 def reachability_weakly_reversible(g: EGraph) -> bool:
@@ -187,7 +209,7 @@ def global_reduction_d0_basis(g: EGraph) -> Subspace:
     vectors = []
     for out in g.out_edges:
         rows = [[g.reaction_vectors[ei][r] for ei in out] for r in range(g.n)]
-        for kv in kernel_basis(RationalMatrix.from_rows(rows, cols=len(out))).basis:
+        for kv in kernel_basis(RationalMatrix.from_rows(rows, cols=len(out))):
             v = [Fraction(0)] * g.num_edges
             for ei, x in zip(out, kv):
                 v[ei] = x
@@ -213,7 +235,8 @@ def monolithic_jr_subspace(g1: EGraph, g: EGraph) -> Subspace:
                 row[ei] = sum((a * b for a, b in zip(c, g1.reaction_vectors[ei])), Fraction(0))
             rows.append(row)
     rows += [[Fraction((t == v) - (s == v)) for s, t in g1.edges] for v in range(g1.num_vertices)]
-    return Subspace(g1.num_edges, tuple(naive_kernel(rows, g1.num_edges)))
+    rref, _ = naive_rref(naive_kernel(rows, g1.num_edges))
+    return Subspace(g1.num_edges, tuple(tuple(r) for r in rref))
 
 
 def basis_pair_terms(g: EGraph, g1: EGraph) -> tuple:
@@ -294,11 +317,11 @@ def direct_flux_imbalance(g: EGraph, values) -> list[Fraction]:
     return out
 
 
-def dense_orthogonalize(s: Subspace) -> Subspace:
+def dense_orthogonalize(vectors: Sequence[Vec]) -> tuple[Vec, ...]:
     """Gram-Schmidt without normalization, every product taken over every
     index: same span, pairwise-orthogonal."""
     out: list[Vec] = []
-    for b in s.basis:
+    for b in vectors:
         g = list(b)
         for prev in out:
             c = dot(b, prev) / dot(prev, prev)
@@ -306,7 +329,7 @@ def dense_orthogonalize(s: Subspace) -> Subspace:
                 for j in range(len(g)):
                     g[j] -= c * prev[j]
         out.append(tuple(g))
-    return Subspace(s.ambient, tuple(out))
+    return tuple(out)
 
 
 def dense_coords_in_basis(v, basis) -> Vec:

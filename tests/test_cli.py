@@ -292,6 +292,27 @@ class TestPsi:
         code, out, err = run(capsys, "psi", "forward", gf, gf, inp)
         assert code == 0 and f"'{rational_str(p)}'" in out, err
 
+    def test_forward_state_past_the_float_range(self, capsys, tmp_path):
+        # half-integer vertices: x^(1/2) and x^(3/2) are taken in logs at
+        # x = 10^-400 and 10^400, and x = 10^5000 puts them past 2^8192 (exit 7)
+        g = EGraph(1, [(Fraction(1, 2),), (Fraction(3, 2),)], [(0, 1), (1, 0)])
+        gf, inp = tmp_path / "g.json", tmp_path / "in.json"
+        gf.write_text(json.dumps(g.to_json_dict()))
+        for e, code_want in ((-400, 0), (400, 0), (5000, 7)):
+            inp.write_text(json.dumps({
+                "j": EdgeVector.uniform(g).to_json_dict(),
+                "x": [rational_to_json(Fraction(10) ** e)],
+                "p": [],
+            }))
+            code, doc, err = run_json(capsys, "psi", "forward", gf, gf, inp)
+            assert code == code_want, err
+            if code == 0:
+                assert doc["result"]["mode"] == "approximate"
+                k0 = rational_from_json(doc["result"]["k"]["values"][0])
+                assert math.isclose(k0 * Fraction(10) ** (e // 2), 1, rel_tol=1e-12)
+            else:
+                assert "floating-point range" in err
+
     def test_forward_on_a_long_path(self, tmp_path):
         # bidirected 1-D path of 150 vertices, uniform flux: D0 has one vector
         # per inner vertex, and the shift to D0-coordinates 0 leaves rate 1 on

@@ -18,7 +18,7 @@ from crnlocus import (
     subspace_from_span,
 )
 from crnlocus.equiv import d0_basis, j0_basis
-from crnlocus.exactla import bareiss, dot, integer_rows, vec
+from crnlocus.exactla import bareiss, combine, dot, integer_rows, vec
 
 from fixture_graphs import (
     g_cyc,
@@ -41,6 +41,7 @@ from oracles import (
     random_engine_matrix,
     random_four_vertex_graph,
     random_rational,
+    rank_contains,
     spans_same,
 )
 
@@ -81,21 +82,19 @@ class TestRank:
 
 class TestKernel:
     def test_row_1_1(self):
-        s = kernel_basis(RationalMatrix.from_rows([[1, 1]]))
+        s = subspace_from_span(kernel_basis(RationalMatrix.from_rows([[1, 1]])), 2)
         assert s.dim == 1
         assert s.contains([1, -1])
 
     def test_invertible_has_zero_kernel(self):
-        s = kernel_basis(RationalMatrix.from_rows([[1, 2], [3, 4]]))
-        assert s.dim == 0
+        assert kernel_basis(RationalMatrix.from_rows([[1, 2], [3, 4]])) == ()
 
     def test_d0_matrix_of_k4(self):
-        s = kernel_basis(d0_constraint_matrix(g_k4()))
-        assert s.dim == 4
+        assert len(kernel_basis(d0_constraint_matrix(g_k4()))) == 4
 
     def test_canonical_free_column_form(self):
         s = kernel_basis(RationalMatrix.from_rows([[1, 2, 3]]))
-        assert s.basis == (vec([-2, 1, 0]), vec([-3, 0, 1]))
+        assert s == (vec([-2, 1, 0]), vec([-3, 0, 1]))
 
 
 class TestSolve:
@@ -115,13 +114,12 @@ class TestSolve:
 
 class TestOrthogonalize:
     def test_hand_example(self):
-        s = Subspace(2, (vec([1, 1]), vec([1, 0])))
-        o = orthogonalize(s)
-        assert o.basis == (vec([1, 1]), vec([Fraction(1, 2), Fraction(-1, 2)]))
+        o = orthogonalize((vec([1, 1]), vec([1, 0])))
+        assert o == (vec([1, 1]), vec([Fraction(1, 2), Fraction(-1, 2)]))
 
     def test_already_orthogonal_unchanged(self):
-        s = Subspace(3, (vec([1, 0, 0]), vec([0, 2, 0])))
-        assert orthogonalize(s).basis == s.basis
+        s = (vec([1, 0, 0]), vec([0, 2, 0]))
+        assert orthogonalize(s) == s
 
     def test_dependency_vector_triple_span_preserved(self):
         from fixture_graphs import dependency_vectors
@@ -133,11 +131,11 @@ class TestOrthogonalize:
         triple = [add(v["v1"], v["v2"]), sub(v["v1"], v["v3"]), add(v["v1"], v["v4"])]
         s = subspace_from_span(triple, 12)
         assert s.dim == 3
-        o = orthogonalize(s)
-        assert spans_same(o, s)
-        for i in range(o.dim):
+        o = orthogonalize(s.basis)
+        assert spans_same(subspace_from_span(o, 12), s)
+        for i in range(len(o)):
             for j in range(i):
-                assert dot(o.basis[i], o.basis[j]) == 0
+                assert dot(o[i], o[j]) == 0
 
 
 class TestCoords:
@@ -168,13 +166,13 @@ class TestDet:
 @settings(max_examples=60, deadline=None)
 @given(matrices())
 def test_rank_nullity(m):
-    assert rank(m) + kernel_basis(m).dim == m.cols
+    assert rank(m) + len(kernel_basis(m)) == m.cols
 
 
 @settings(max_examples=60, deadline=None)
 @given(matrices())
 def test_kernel_vectors_annihilate(m):
-    for b in kernel_basis(m).basis:
+    for b in kernel_basis(m):
         assert all(x == 0 for x in matvec(m, b))
 
 
@@ -198,7 +196,7 @@ def _assert_engine_matches_oracles(rows, rhs) -> None:
     m = RationalMatrix.from_rows(rows)
     rref, pivots = naive_rref(rows)
     assert rank(m) == len(pivots)
-    assert kernel_basis(m).basis == tuple(naive_kernel(rows, m.cols))
+    assert kernel_basis(m) == tuple(naive_kernel(rows, m.cols))
     assert subspace_from_span(rows, m.cols).basis == tuple(tuple(r) for r in rref)
     assert solve_particular(m, rhs) == naive_solve(rows, rhs, m.cols)
     k = min(m.rows, m.cols, 5)
@@ -246,12 +244,12 @@ def test_solve_substitution_or_certified_inconsistent(m, data):
 @given(st.lists(st.lists(rationals, min_size=4, max_size=4), min_size=1, max_size=4))
 def test_orthogonalize_preserves_span_and_orthogonality(rows):
     s = subspace_from_span(rows, 4)
-    o = orthogonalize(s)
-    assert spans_same(o, s)
-    for i in range(o.dim):
-        assert dot(o.basis[i], o.basis[i]) > 0
+    o = orthogonalize(s.basis)
+    assert spans_same(subspace_from_span(o, 4), s)
+    for i in range(len(o)):
+        assert dot(o[i], o[i]) > 0
         for j in range(i):
-            assert dot(o.basis[i], o.basis[j]) == 0
+            assert dot(o[i], o[j]) == 0
 
 
 @settings(max_examples=40, deadline=None)
@@ -260,16 +258,16 @@ def test_orthogonalize_preserves_span_and_orthogonality(rows):
     st.lists(rationals, min_size=4, max_size=4),
 )
 def test_coords_give_orthogonal_projection(rows, v):
-    s = orthogonalize(subspace_from_span(rows, 4))
-    if s.dim == 0:
+    s = orthogonalize(subspace_from_span(rows, 4).basis)
+    if len(s) == 0:
         return
-    cs = coords_in_basis(v, s.basis)
+    cs = coords_in_basis(v, s)
     proj = [Fraction(0)] * 4
-    for c, b in zip(cs, s.basis):
+    for c, b in zip(cs, s):
         for i, x in enumerate(b):
             proj[i] += c * x
     residual = [a - b for a, b in zip(vec(v), proj)]
-    for b in s.basis:
+    for b in s:
         assert dot(residual, b) == 0
 
 
@@ -283,6 +281,62 @@ def test_span_checks_length_of_zero_vectors():
 def test_subspace_rejects_dependent_basis():
     with pytest.raises(ValueError):
         Subspace(2, (vec([1, 1]), vec([2, 2])))
+
+
+@pytest.mark.parametrize(
+    "basis",
+    [
+        ((1, 1), (1, 0)),  # independent, but the second vector leads in column 0 too
+        ((2, 0),),  # leading entry not 1
+        ((0, 1), (1, 0)),  # leading columns out of order
+        ((1, 1), (0, 1)),  # nonzero at a later vector's leading column
+        ((0, 0),),  # the zero vector
+    ],
+)
+def test_subspace_refuses_bases_not_in_reduced_echelon_form(basis):
+    with pytest.raises(ValueError, match="reduced echelon"):
+        Subspace(2, tuple(vec(b) for b in basis))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.lists(rationals, min_size=4, max_size=4), max_size=4),
+    st.lists(rationals, min_size=4, max_size=4),
+    st.lists(rationals, min_size=4, max_size=4),
+    st.booleans(),
+)
+def test_contains_matches_rank_oracle(rows, v, coeffs, member):
+    s = subspace_from_span(rows, 4)
+    if member:  # a combination of the basis, so both answers occur
+        v = combine(coeffs[: s.dim], s.basis, 4)
+    assert s.contains(v) == rank_contains(s, v)
+    assert s.contains(v) or not member
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.lists(rationals, min_size=4, max_size=4), min_size=1, max_size=4),
+    st.lists(st.fractions(min_value=1, max_value=4, max_denominator=3), min_size=4, max_size=4),
+)
+def test_spanning_sets_of_one_space_give_equal_subspaces(rows, scales):
+    # reversed, rescaled, and with the sum of the rows added: the same span
+    other = [[c * x for x in r] for c, r in zip(scales, reversed(rows))]
+    other.append([sum(col, Fraction(0)) for col in zip(*rows)])
+    assert subspace_from_span(rows, 4) == subspace_from_span(other, 4)
+
+
+def test_subspace_equality_is_equality_of_spans():
+    plane = subspace_from_span([[1, 1, 0], [1, -1, 0]], 3)
+    assert plane == subspace_from_span([[0, 2, 0], [3, 0, 0]], 3)
+    assert plane != subspace_from_span([[1, 0, 0]], 3)
+    assert plane != subspace_from_span([[1, 0, 0], [0, 0, 1]], 3)
+
+
+def test_orthogonalize_refuses_dependent_vectors():
+    with pytest.raises(ValueError, match="dependent"):
+        orthogonalize((vec([1, 2, 0]), vec([0, 1, 1]), vec([2, 5, 1])))
+    with pytest.raises(ValueError, match="dependent"):
+        orthogonalize((vec([0, 0]),))
 
 
 def test_det_cross_check_random():
@@ -325,14 +379,14 @@ def test_support_gram_schmidt_and_coords_match_dense_oracles():
     nonempty = 0
     for g in _oracle_graphs():
         for s in (d0_basis(g), j0_basis(g)):
-            o = orthogonalize(s)
-            assert o.basis == dense_orthogonalize(s).basis
+            o = orthogonalize(s.basis)
+            assert o == dense_orthogonalize(s.basis)
             if not s.basis:
                 continue
             nonempty += 1
             sparse_v = [random_rational(rng) if rng.random() < 0.3 else 0 for _ in range(s.ambient)]
             for v in ([random_rational(rng) for _ in range(s.ambient)], sparse_v, s.basis[-1]):
-                assert coords_in_basis(v, o.basis) == dense_coords_in_basis(v, o.basis)
+                assert coords_in_basis(v, o) == dense_coords_in_basis(v, o)
                 assert coords_in_basis(v, s.basis) == dense_coords_in_basis(v, s.basis)
     assert nonempty >= 100  # 117 of the 534 bases are nonempty
 

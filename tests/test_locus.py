@@ -207,6 +207,25 @@ class TestPsiMap:
         out = psi_map(g1, g, j, (2, 3), (), x0=(1, 1))  # S is the whole plane
         assert out.k is not None
 
+    @pytest.mark.parametrize("e", [400, -400], ids=["power-overflows", "power-underflows"])
+    def test_state_powers_past_the_float_range(self, e):
+        # Half-integer vertices 1/2 and 3/2 with x = 10^e: the float powers
+        # x^(1/2) and x^(3/2) overflow or underflow to 0, so both are taken
+        # in logs; the rates 1/x^y are 10^(-e/2) and 10^(-3e/2).
+        g = EGraph(1, [(Fraction(1, 2),), (Fraction(3, 2),)], [(0, 1), (1, 0)])
+        x = Fraction(10) ** e
+        out = psi_map(g, g, EdgeVector.uniform(g), [x], [])
+        assert out.mode == "approximate"
+        k0, k1 = out.k.values
+        assert math.isclose(k0 * Fraction(10) ** (e // 2), 1, rel_tol=1e-12)
+        assert math.isclose(k1 * Fraction(10) ** (3 * e // 2), 1, rel_tol=1e-12)
+
+    def test_state_power_past_the_bit_bound_raises(self):
+        # x^(1/2) for x = 10^5000 is near 2^8305, past POWER_MAX_BITS
+        g = EGraph(1, [(Fraction(1, 2),), (Fraction(3, 2),)], [(0, 1), (1, 0)])
+        with pytest.raises(OverflowError, match="past 2"):
+            psi_map(g, g, EdgeVector.uniform(g), [10**5000], [])
+
 
 def _pow(x, y):
     out = Fraction(1)
@@ -270,6 +289,17 @@ class TestPsiHatInverse:
         assert pre.j_hat.values[0] == 2 * 10**400
         assert math.isclose(pre.j_hat.values[1] / pre.j_hat.values[0], 1, rel_tol=1e-12)
         assert pre.p == ()
+
+    def test_exact_state_below_the_float_range(self):
+        # The Birch point 10^-1600 is exact, but the vertex 1/2 makes its
+        # power a float one, which underflows to 0; taken in logs it gives
+        # the flux (1, 1) at that state.
+        g = EGraph(1, [(0,), (Fraction(1, 2),)], [(0, 1), (1, 0)])
+        k = EdgeVector(g, [1, 10**800])
+        pre = psi_hat_inverse(g, g, k, k, (), (1,))
+        assert pre.x.mode == "exact" and pre.x.x == (Fraction(1, 10**1600),)
+        assert pre.j_hat.values[0] == 1
+        assert math.isclose(pre.j_hat.values[1], 1, rel_tol=1e-12)
 
     def test_approximate_state_power_stays_float_sized(self):
         # x = 2^(-1/300) is approximate; x^300 is a float power, so j_hat

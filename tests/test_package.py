@@ -1,9 +1,11 @@
 """Package hygiene: every module-level function and class in
 ``src/crnlocus`` is used somewhere in the package or exported by it,
-every exported name has a caller in the package or the benchmark, and
-every module but ``__init__`` uses each name it imports."""
+every exported name has a caller in the package or the benchmark,
+every module but ``__init__`` uses each name it imports, and the
+README's Layout block names exactly the package's modules."""
 
 import ast
+import re
 from pathlib import Path
 
 import crnlocus
@@ -120,3 +122,15 @@ def exports_without_caller() -> list[str]:
 
 def test_every_export_has_a_caller():
     assert exports_without_caller() == []
+
+
+def readme_layout_modules() -> set[str]:
+    """The ``name.py`` entries of the code block under README's Layout heading."""
+    readme = (SRC.parents[1] / "README.md").read_text()
+    block = readme.split("## Layout", 1)[1].split("```")[1]
+    return set(re.findall(r"^ +(\w+\.py) ", block, re.M))
+
+
+def test_readme_layout_names_every_module():
+    modules = {p.name for p in SRC.glob("*.py")} - {"__init__.py"}
+    assert readme_layout_modules() == modules
