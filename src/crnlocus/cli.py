@@ -294,6 +294,7 @@ def _cmd_psi(args: argparse.Namespace, config: RunConfig) -> int:
         ]
     else:
         lines += [
+            f"mode: {out.mode}",
             f"j_hat: {[rational_str(v) for v in out.j_hat.values]}",
             f"x: {out.x.to_json_dict()}",
             f"p: {[rational_str(v) for v in out.p]}",

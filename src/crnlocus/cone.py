@@ -46,7 +46,6 @@ from .exactla import (
     dot,
     integer_rows,
     kernel_basis,
-    subspace_from_span,
     vec,
 )
 from .jsonutil import rational_str, rationals_to_json
@@ -201,7 +200,7 @@ def out_span_normals(g: EGraph) -> dict[Vec, list[list[int]]]:
     for vi, edges in enumerate(g.out_edges):
         if edges:
             span = RationalMatrix.from_rows([g.reaction_vectors[ei] for ei in edges], cols=g.n)
-            out[g.vertices[vi]] = integer_rows(kernel_basis(span))
+            out[g.vertices[vi]] = integer_rows(kernel_basis(span).basis)
     return out
 
 
@@ -230,10 +229,11 @@ def farkas_row(rows: Sequence[Sequence[int]]) -> Sequence[int] | None:
 
 
 def _cone_basis(rows: list[list[int]], nedges: int) -> Subspace:
-    """The canonical reduced echelon basis of the kernel of ``rows``: the
-    one basis the simplex pivots on, in the scan and in the report, built
-    only where a sign-definite row or the simplex decides the cone."""
-    return subspace_from_span(kernel_basis(RationalMatrix.from_rows(rows, cols=nedges)), nedges)
+    """The kernel of ``rows`` as its canonical reduced echelon Subspace,
+    from one elimination: the one basis the simplex pivots on, in the scan
+    and in the report, built only where a sign-definite row or the simplex
+    decides the cone."""
+    return kernel_basis(RationalMatrix.from_rows(rows, cols=nedges))
 
 
 def cone_dimension(g1: EGraph, normals_at: Mapping[Vec, Sequence[Sequence[int]]]) -> int | None:

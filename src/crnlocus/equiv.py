@@ -10,6 +10,7 @@ net vanishes; J0(G) additionally requires per-vertex flux balance.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
@@ -20,6 +21,7 @@ from .exactla import (
     Rat,
     Subspace,
     Vec,
+    _log,
     bareiss,
     combine,
     dot,
@@ -27,12 +29,16 @@ from .exactla import (
     integer_rows,
     kernel_basis,
     solve_particular,
-    subspace_from_span,
     vec,
 )
 from .jsonutil import load_json, rationals_from_json, rationals_to_json
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+# An approximate state power past the float range is built as a float
+# mantissa times 2**e for |e| up to this many bits (about 2,500 digits).
+POWER_MAX_BITS = 8192
 
 
 class VectorGraphMismatchError(ValueError):
@@ -117,19 +123,28 @@ def is_dynamically_equivalent(g: EGraph, k: EdgeVector, g2: EGraph, k2: EdgeVect
     return _nets_agree(net_vectors(g, k), net_vectors(g2, k2), g.n)
 
 
-def state_power(x: Sequence, y: Vec, exact: bool) -> Fraction | float:
-    """x**y componentwise product; exact only for integer exponents."""
+def state_power(x: Sequence, y: Vec, exact: bool) -> Fraction:
+    """The state power x**y as a Fraction: exact (for integer exponents)
+    with ``exact``, else through a float power.  One that overflows, or
+    underflows to 0, is taken in logs as a float mantissa times a power of
+    two of at most ``POWER_MAX_BITS`` bits; where a coordinate has no
+    float, from logs of numerators and denominators."""
     if exact:
-        out = Fraction(1)
-        for xi, yi in zip(x, y):
-            e = int(yi)
-            if e:
-                out *= Fraction(xi) ** e
-        return out
-    out_f = 1.0
-    for xi, yi in zip(x, y):
-        out_f *= float(xi) ** float(yi)
-    return out_f
+        return math.prod((Fraction(xi) ** int(yi) for xi, yi in zip(x, y) if int(yi)), start=_ONE)
+    try:
+        power = math.prod((float(xi) ** float(yi) for xi, yi in zip(x, y)), start=1.0)
+        if 0 < power < math.inf:
+            return Fraction(power)
+    except (OverflowError, ZeroDivisionError):  # ZeroDivisionError: 0.0 ** -y
+        pass
+    try:
+        log2 = sum(float(b) * math.log2(a) for a, b in zip(x, y) if b)
+    except (OverflowError, ValueError):  # some float(a) overflows or is 0
+        log2 = sum(float(b) * _log(a) for a, b in zip(x, y) if b) / math.log(2)
+    e = math.floor(log2)
+    if abs(e) > POWER_MAX_BITS:
+        raise OverflowError(f"state power 2^{log2:.6g} is past 2^{POWER_MAX_BITS} in size")
+    return Fraction(2.0 ** (log2 - e)) * Fraction(2) ** e
 
 
 def mass_action_field(g: EGraph, k: EdgeVector) -> Callable[[Sequence], tuple]:
@@ -159,7 +174,10 @@ def mass_action_field(g: EGraph, k: EdgeVector) -> Callable[[Sequence], tuple]:
                 raise ValueError(f"state must be strictly positive, got {xi}")
         acc = [0.0] * n
         for rate, y, rv in terms:
-            c = rate * state_power(x, y, False)
+            power = 1.0
+            for xi, yi in zip(x, y):
+                power *= float(xi) ** yi
+            c = rate * power
             for j in range(n):
                 acc[j] += c * rv[j]
         return tuple(acc)
@@ -250,9 +268,7 @@ def d0_basis(g: EGraph) -> Subspace:
         if not out:
             continue
         local = kernel_basis(RationalMatrix.from_rows(_local_rows(g, vi), cols=len(out)))
-        if not local:
-            continue
-        for kv in subspace_from_span(local, len(out)).basis:
+        for kv in local.basis:
             v = [_ZERO] * g.num_edges
             for ei, x in zip(out, kv):
                 v[ei] = x
@@ -265,7 +281,8 @@ def restrict_to_kernel(sub: Subspace, constraints: Sequence[Sequence[int]]) -> S
 
     Entry (i, j) of the reduced system is constraint row i applied to
     basis vector j, summed only over the nonzero entries of the basis
-    vector and of the constraint columns.
+    vector and of the constraint columns.  Reduced echelon combinations
+    of a reduced echelon basis are again reduced echelon.
     """
     if not sub.basis:
         return sub
@@ -281,8 +298,7 @@ def restrict_to_kernel(sub: Subspace, constraints: Sequence[Sequence[int]]) -> S
                 for i, c in column_entries[e]:
                     reduced[i][j] += c * x
     combos = kernel_basis(RationalMatrix.from_rows(reduced, cols=len(sub.basis)))
-    vectors = [combine(t, sub.basis, sub.ambient) for t in combos]
-    return subspace_from_span(vectors, sub.ambient)
+    return Subspace(sub.ambient, tuple(combine(t, sub.basis, sub.ambient) for t in combos.basis))
 
 
 def j0_basis(g: EGraph) -> Subspace:

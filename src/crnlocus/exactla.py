@@ -4,7 +4,7 @@ Nothing in this module rounds.  Every elimination -- ranks, determinants,
 kernels, spanned subspaces and particular solutions -- scales each row
 to integers and runs through one fraction-free routine, ``bareiss``,
 which leaves alone the rows it does not need to touch; canonical bases
-are read off its reduced rows as ``fractions.Fraction``s.
+are read off its reduced rows, as ``Subspace``s in reduced echelon form.
 Gram-Schmidt keeps bases orthogonal but *not* orthonormal, since
 normalization would require square roots and leave the rationals;
 coordinate maps divide by the squared lengths instead.
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, prod
+from math import lcm, log, prod
 from typing import Iterable, Sequence
 
 Rat = int | Fraction
@@ -30,6 +30,14 @@ def frac(x: Rat) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     raise TypeError(f"expected an exact rational, got {type(x).__name__}: {x!r}")
+
+
+def _log(v) -> float:
+    """Natural log; of a rational as log(numerator) - log(denominator),
+    which is finite where the float of the rational would overflow."""
+    if isinstance(v, (int, Fraction)):
+        return log(v.numerator) - log(v.denominator)
+    return log(v)
 
 
 def vec(values: Iterable[Rat]) -> Vec:
@@ -218,28 +226,26 @@ def subspace_from_span(vectors: Sequence[Sequence[Rat]], ambient: int) -> Subspa
     )
 
 
-def kernel_basis(m: RationalMatrix) -> tuple[Vec, ...]:
-    """Canonical basis of the right kernel {x : Mx = 0}.
+def kernel_basis(m: RationalMatrix) -> Subspace:
+    """The right kernel {x : Mx = 0} as a Subspace, from one elimination.
 
-    One basis vector per free column f of the reduced echelon form, with
-    entry 1 at f and the negated pivot-column coefficients elsewhere.
+    The reduced echelon form of M mirrored in rows and columns gives, for
+    each free column f, a kernel vector that is 1 at f, 0 at the other
+    free columns and nonzero only at later pivot columns: the reduced
+    echelon basis.  Mirroring the rows too keeps banded matrices banded.
     """
-    a = integer_rows(m.row(i) for i in range(m.rows))
-    pivots, _ = bareiss(a, m.cols, reduced=True)
-    pivot_set = set(pivots)
-    free = [f for f in range(m.cols) if f not in pivot_set]
+    n = m.cols
+    a = integer_rows(m.row(i)[::-1] for i in reversed(range(m.rows)))
+    pivots, _ = bareiss(a, n, reduced=True)
     basis: list[Vec] = []
-    for f in free:
-        v = [_ZERO] * m.cols
-        v[f] = _ONE
+    for f in sorted(set(range(n)).difference(pivots), reverse=True):  # column n - 1 - f of M
+        v = [_ZERO] * n
+        v[n - 1 - f] = _ONE
         for row, p in zip(a, pivots):
             if row[f]:
-                v[p] = Fraction(-row[f], row[p])
+                v[n - 1 - p] = Fraction(-row[f], row[p])
         basis.append(tuple(v))
-    # Independent: each vector is 1 at its own free column, 0 at the others'.
-    if any(v[g] != (1 if g == f else 0) for f, v in zip(free, basis) for g in free):
-        raise RuntimeError("kernel vectors are not independent at their free columns")
-    return tuple(basis)
+    return Subspace(n, tuple(basis))
 
 
 def solve_particular(m: RationalMatrix, b: Sequence[Rat]) -> Vec | None:

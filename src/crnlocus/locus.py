@@ -17,7 +17,6 @@ weakly reversible subgraphs of the complete graph on g.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -50,12 +49,7 @@ from .equiv import (
 )
 from .exactla import Rat, Vec, combine, coords_in_basis, orthogonalize, subspace_from_span, vec
 from .jsonutil import rationals_to_json
-from .toric import SteadyState, _log, birch_point, is_toric
-
-
-# An approximate state power past the float range is built as a float
-# mantissa times 2**e for |e| up to this many bits (about 2,500 digits).
-POWER_MAX_BITS = 8192
+from .toric import SteadyState, birch_point, is_toric
 
 
 class PsiDomainError(ValueError):
@@ -109,26 +103,6 @@ def _shift_to_coords(values: Sequence[Fraction], basis: Sequence[Vec], targets: 
     return tuple(a + b for a, b in zip(values, combine(deltas, basis, len(values))))
 
 
-def _power_fraction(x: Sequence[Fraction], y: Vec, exact: bool) -> Fraction:
-    """state_power as a Fraction.  A float power that overflows or underflows
-    to 0 is taken in logs, as a float mantissa times a power of two; when a
-    coordinate has no float, from logs of numerators and denominators."""
-    try:
-        power = state_power(x, y, exact)
-        if 0 < power < math.inf:
-            return Fraction(power)
-    except OverflowError:
-        pass
-    try:
-        log2 = sum(float(b) * math.log2(a) for a, b in zip(x, y) if b)
-    except (OverflowError, ValueError):  # some float(a) overflows or is 0
-        log2 = sum(float(b) * _log(a) for a, b in zip(x, y) if b) / math.log(2)
-    e = math.floor(log2)
-    if abs(e) > POWER_MAX_BITS:
-        raise OverflowError(f"state power 2^{log2:.6g} is past 2^{POWER_MAX_BITS} in size")
-    return Fraction(2.0 ** (log2 - e)) * Fraction(2) ** e
-
-
 def _validate_state(g: EGraph, x: Sequence[Rat], what: str) -> tuple[Fraction, ...]:
     xs = vec(x)
     if len(xs) != g.n:
@@ -153,7 +127,7 @@ def psi_map(
     canonical orthogonal D0(g) basis, which pins them uniquely.  With an
     x0, the state is additionally checked to lie in x0's affine class.
     Exact for integer vertex coordinates; otherwise the state powers are
-    rounded through floats (in logs past their range, ``_power_fraction``)
+    rounded through floats (in logs past their range, ``state_power``)
     and the output is flagged approximate.
     """
     q = psi_small(g1, g, j)
@@ -170,7 +144,7 @@ def psi_map(
         if not s_basis.contains([a - b for a, b in zip(xs, x0s)]):
             raise PsiDomainError("state does not lie in the base state's affine class")
     exact = g1.has_integer_coordinates()
-    powers = [_power_fraction(xs, y, exact) for y in g1.vertices]
+    powers = [state_power(xs, y, exact) for y in g1.vertices]
     k1 = EdgeVector(g1, [v / powers[s] for v, (s, _) in zip(j.values, g1.edges)])
     k_part = realize_on(g1, k1, g)
     if k_part is None:
@@ -181,14 +155,17 @@ def psi_map(
 
 @dataclass(frozen=True)
 class PsiPreimage:
-    """Recovered (flux, state, D0-coordinates) triple."""
+    """Recovered (flux, state, D0-coordinates) triple.  ``mode`` is "exact"
+    exactly when the state and its powers are exact, so j_hat is too."""
 
     j_hat: EdgeVector
     x: SteadyState
     p: Vec
+    mode: str  # "exact" | "approximate"
 
     def to_json_dict(self) -> dict:
         return {
+            "mode": self.mode,
             "j_hat": self.j_hat.to_json_dict(),
             "x": self.x.to_json_dict(),
             "p": rationals_to_json(self.p),
@@ -210,6 +187,9 @@ def psi_hat_inverse(
     flux at that state gives the base flux, and the q_hat coordinates
     shift it along the canonical orthogonal J0(g1) basis.  The shifted
     flux may leave the positive orthant only along those directions.
+    The preimage is exact when the Birch point is and the vertex
+    coordinates are integers; otherwise its powers are rounded through
+    floats, as in ``psi_map``, and it is flagged approximate.
     """
     g1.check_same_ambient(g)
     if k.graph != g:
@@ -228,7 +208,7 @@ def psi_hat_inverse(
     exact = x.mode == "exact"
     xs = vec(x.x) if exact else tuple(Fraction(float(v)) for v in x.x)
     power_exact = exact and g1.has_integer_coordinates()
-    powers = [_power_fraction(xs, y, power_exact) for y in g1.vertices]
+    powers = [state_power(xs, y, power_exact) for y in g1.vertices]
     j1 = [v * powers[s] for v, (s, _) in zip(k1.values, g1.edges)]
     a_basis = canonical_j0_obasis(g1)
     qh = vec(q_hat)
@@ -238,7 +218,7 @@ def psi_hat_inverse(
         )
     j_hat = EdgeVector(g1, _shift_to_coords(j1, a_basis, qh))
     p = coords_in_basis(k.values, canonical_d0_obasis(g))
-    return PsiPreimage(j_hat=j_hat, x=x, p=p)
+    return PsiPreimage(j_hat=j_hat, x=x, p=p, mode="exact" if power_exact else "approximate")
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ from .equiv import EdgeVector, mass_action_field
 from .exactla import (
     RationalMatrix,
     Vec,
+    _log,
     bareiss,
     det,
     frac,
@@ -73,9 +74,9 @@ def tree_constants(g: EGraph, k: EdgeVector) -> TreeConstants:
     K_i is the principal minor of the class's weighted out-Laplacian L with
     row and column i removed: the weight sum of spanning trees oriented
     toward vertex i.  By the Matrix-Tree theorem K spans the kernel of L^T,
-    which is one-dimensional on a strongly connected class, so one kernel
-    vector v and the minor K_r of the class's first vertex r give
-    K_i = K_r * v_i / v_r.
+    which is one-dimensional on a strongly connected class.  Its reduced
+    echelon basis vector v has v_r = 1 at the class's first vertex r, as
+    every K_i is positive, so the minor K_r gives K_i = K_r * v_i.
     """
     if not is_weakly_reversible(g):
         raise NotWeaklyReversibleError("tree constants require a weakly reversible graph")
@@ -92,11 +93,11 @@ def tree_constants(g: EGraph, k: EdgeVector) -> TreeConstants:
                 lap[pos[s]][pos[s]] += k.values[ei]
                 lap[pos[s]][pos[t]] -= k.values[ei]
         kernel = kernel_basis(RationalMatrix.from_rows(list(zip(*lap)), cols=m))
-        if len(kernel) != 1:
+        if kernel.dim != 1:
             raise RuntimeError("the out-Laplacian of a strongly connected class must have corank 1")
         root = det(RationalMatrix.from_rows([row[1:] for row in lap[1:]], cols=m - 1))
-        for v, c in zip(cls, kernel[0]):
-            values[v] = root * c / kernel[0][0]
+        for v, c in zip(cls, kernel.basis[0]):
+            values[v] = root * c
             if values[v] <= 0:
                 raise RuntimeError("tree constant must be positive on a weakly reversible class")
     return TreeConstants(tuple(values), tuple(classes))
@@ -171,14 +172,6 @@ def _fraction_nth_root(x: Fraction, n: int) -> Fraction | None:
     if num is None or den is None:
         return None
     return Fraction(num, den)
-
-
-def _log(v) -> float:
-    """Natural log; of a rational as log(numerator) - log(denominator),
-    which is finite where the float of the rational would overflow."""
-    if isinstance(v, (int, Fraction)):
-        return math.log(v.numerator) - math.log(v.denominator)
-    return math.log(v)
 
 
 def _exact_witness(rows: list[Vec], ratios: list[Fraction], n: int) -> SteadyState | None:

@@ -70,9 +70,7 @@ def rank_contains(s: Subspace, v: Sequence) -> bool:
 
 def balance_subspace(g: EGraph) -> Subspace:
     """Kernel of the per-vertex flux balance rows alone."""
-    return subspace_from_span(
-        kernel_basis(RationalMatrix.from_rows(balance_rows(g), cols=g.num_edges)), g.num_edges
-    )
+    return kernel_basis(RationalMatrix.from_rows(balance_rows(g), cols=g.num_edges))
 
 
 def hat_jr_dimension(g1: EGraph, g: EGraph) -> int:
@@ -209,7 +207,7 @@ def global_reduction_d0_basis(g: EGraph) -> Subspace:
     vectors = []
     for out in g.out_edges:
         rows = [[g.reaction_vectors[ei][r] for ei in out] for r in range(g.n)]
-        for kv in kernel_basis(RationalMatrix.from_rows(rows, cols=len(out))):
+        for kv in kernel_basis(RationalMatrix.from_rows(rows, cols=len(out))).basis:
             v = [Fraction(0)] * g.num_edges
             for ei, x in zip(out, kv):
                 v[ei] = x
@@ -235,8 +233,7 @@ def monolithic_jr_subspace(g1: EGraph, g: EGraph) -> Subspace:
                 row[ei] = sum((a * b for a, b in zip(c, g1.reaction_vectors[ei])), Fraction(0))
             rows.append(row)
     rows += [[Fraction((t == v) - (s == v)) for s, t in g1.edges] for v in range(g1.num_vertices)]
-    rref, _ = naive_rref(naive_kernel(rows, g1.num_edges))
-    return Subspace(g1.num_edges, tuple(tuple(r) for r in rref))
+    return naive_kernel_subspace(rows, g1.num_edges)
 
 
 def basis_pair_terms(g: EGraph, g1: EGraph) -> tuple:
@@ -580,6 +577,13 @@ def naive_kernel(rows, ncols: int) -> list[tuple[Fraction, ...]]:
                 v[p] = -row[f]
             out.append(tuple(v))
     return out
+
+
+def naive_kernel_subspace(rows, ncols: int) -> Subspace:
+    """The naive kernel as a Subspace: the naive RREF of its free-column
+    vectors."""
+    rref, _ = naive_rref(naive_kernel(rows, ncols))
+    return Subspace(ncols, tuple(tuple(r) for r in rref))
 
 
 def naive_solve(rows, rhs, ncols: int) -> tuple[Fraction, ...] | None:

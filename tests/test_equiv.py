@@ -18,9 +18,12 @@ from crnlocus import (
     parse_egraph,
     realize_on,
 )
+from crnlocus import cone, equiv, exactla, toric
 from crnlocus.cone import positive_point
+from crnlocus.equiv import balance_rows
 from crnlocus.exactla import combine, vec
 
+from capped import run_capped
 from fixture_graphs import (
     CENTER,
     dependency_vectors,
@@ -41,12 +44,12 @@ from oracles import (
     direct_net_vectors,
     is_subspace_of,
     mass_action_rhs,
+    naive_kernel_subspace,
     random_edge_vector,
     random_four_vertex_graph,
     random_positive_rational,
     random_small_egraph,
     random_wr_egraph,
-    spans_same,
 )
 
 
@@ -167,19 +170,15 @@ class TestD0J0:
             assert all(all(x == 0 for x in v) for v in nets.values())
 
     def test_blockwise_kernels_match_monolithic(self):
-        # the per-vertex assembly must span the same spaces as kernels of
-        # the full stacked constraint matrices
-        from crnlocus import RationalMatrix, kernel_basis, subspace_from_span
-        from crnlocus.equiv import balance_rows
-
+        # the per-vertex assembly must give the canonical bases of the
+        # naive kernels of the full stacked constraint matrices
         rng = random.Random(321)
         graphs = [g_cyc(), g_k4(), g_in()] + [random_small_egraph(rng) for _ in range(25)]
         for g in graphs:
             dm = d0_constraint_matrix(g)
-            assert spans_same(d0_basis(g), subspace_from_span(kernel_basis(dm), g.num_edges))
-            stacked = [dm.row(i) for i in range(dm.rows)] + balance_rows(g)
-            kernel = kernel_basis(RationalMatrix.from_rows(stacked))
-            assert spans_same(j0_basis(g), subspace_from_span(kernel, g.num_edges))
+            rows = [dm.row(i) for i in range(dm.rows)]
+            assert d0_basis(g) == naive_kernel_subspace(rows, g.num_edges)
+            assert j0_basis(g) == naive_kernel_subspace(rows + balance_rows(g), g.num_edges)
 
 
 def _random_graph(rng: random.Random) -> EGraph:
@@ -229,6 +228,73 @@ class TestD0VertexBlocks:
             shapes["classes"] += len(linkage_classes(g)) > 1
             shapes["nonzero"] += bool(basis)
         assert min(shapes.values()) >= 30, shapes
+
+
+@pytest.fixture
+def bareiss_calls(monkeypatch):
+    """Counts the calls of ``exactla.bareiss`` made from any crnlocus module."""
+    calls = []
+    original = exactla.bareiss
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for module in (exactla, equiv, cone, toric):
+        if getattr(module, "bareiss", None) is original:
+            monkeypatch.setattr(module, "bareiss", counted)
+    return calls
+
+
+class TestOneEliminationPerBasis:
+    """Each canonical basis comes from one elimination: its kernel is read
+    off in reduced echelon form, with no second reduction of the span."""
+
+    def test_cone_basis(self, bareiss_calls):
+        for g1, g in [(g_k4(), g_in()), (g_k4(), g_cyc()), (g_cyc(), g_in())]:
+            rows, _ = cone.reduced_jr_rows(g1, cone.out_span_normals(g))
+            before = len(bareiss_calls)
+            cone._cone_basis(rows, g1.num_edges)
+            assert len(bareiss_calls) - before == 1
+
+    def test_restrict_to_kernel(self, bareiss_calls):
+        rng = random.Random(19)
+        graphs = [g_k4()] + [random_small_egraph(rng, 5) for _ in range(20)]
+        bases = [(g, d0_basis(g)) for g in graphs]
+        assert sum(1 for _, d0 in bases if d0.basis) >= 5
+        for g, d0 in bases:
+            if not d0.basis:
+                continue
+            before = len(bareiss_calls)
+            equiv.restrict_to_kernel(d0, balance_rows(g))
+            assert len(bareiss_calls) - before == 1
+
+    def test_d0_basis_once_per_vertex_with_out_edges(self, bareiss_calls):
+        rng = random.Random(19)
+        graphs = [g_k4(), g_in(), g_cyc()] + [random_small_egraph(rng) for _ in range(20)]
+        assert any(not all(g.out_edges) for g in graphs)  # sinks make no elimination
+        for g in graphs:
+            before = len(bareiss_calls)
+            d0_basis(g)
+            assert len(bareiss_calls) - before == sum(1 for out in g.out_edges if out)
+
+    def test_j0_basis_on_a_long_path_under_capped_memory(self):
+        # The kernels keep a banded matrix banded: about 0.4 s of CPU on a
+        # 600-vertex bidirected path (2 shared CPUs), where mirroring the
+        # columns alone fills the pivot search in and takes about 10 s.
+        code = (
+            "import time; from crnlocus import EGraph; from crnlocus.equiv import j0_basis; "
+            "m = 600; edges = sorted([(i, i + 1) for i in range(m - 1)] "
+            "+ [(i + 1, i) for i in range(m - 1)]); "
+            "g = EGraph(1, [(i,) for i in range(m)], edges); "
+            "t = time.process_time(); s = j0_basis(g); "
+            "print(s.dim, time.process_time() - t)"
+        )
+        proc = run_capped(code)
+        assert proc.returncode == 0, proc.stderr
+        dim, cpu = proc.stdout.split()
+        assert int(dim) == 0  # the path is a tree: no balanced flux
+        assert float(cpu) < 5.0
 
 
 class TestDynamicalEquivalence:

@@ -35,7 +35,7 @@ from oracles import (
     dense_coords_in_basis,
     dense_orthogonalize,
     matvec,
-    naive_kernel,
+    naive_kernel_subspace,
     naive_rref,
     naive_solve,
     random_engine_matrix,
@@ -82,19 +82,20 @@ class TestRank:
 
 class TestKernel:
     def test_row_1_1(self):
-        s = subspace_from_span(kernel_basis(RationalMatrix.from_rows([[1, 1]])), 2)
+        s = kernel_basis(RationalMatrix.from_rows([[1, 1]]))
         assert s.dim == 1
         assert s.contains([1, -1])
 
     def test_invertible_has_zero_kernel(self):
-        assert kernel_basis(RationalMatrix.from_rows([[1, 2], [3, 4]])) == ()
+        assert kernel_basis(RationalMatrix.from_rows([[1, 2], [3, 4]])).basis == ()
 
     def test_d0_matrix_of_k4(self):
-        assert len(kernel_basis(d0_constraint_matrix(g_k4()))) == 4
+        assert len(kernel_basis(d0_constraint_matrix(g_k4())).basis) == 4
 
-    def test_canonical_free_column_form(self):
+    def test_canonical_reduced_echelon_form(self):
         s = kernel_basis(RationalMatrix.from_rows([[1, 2, 3]]))
-        assert s == (vec([-2, 1, 0]), vec([-3, 0, 1]))
+        third = Fraction(1, 3)
+        assert s.basis == (vec([1, 0, -third]), vec([0, 1, -2 * third]))
 
 
 class TestSolve:
@@ -166,14 +167,32 @@ class TestDet:
 @settings(max_examples=60, deadline=None)
 @given(matrices())
 def test_rank_nullity(m):
-    assert rank(m) + len(kernel_basis(m)) == m.cols
+    assert rank(m) + len(kernel_basis(m).basis) == m.cols
 
 
 @settings(max_examples=60, deadline=None)
 @given(matrices())
 def test_kernel_vectors_annihilate(m):
-    for b in kernel_basis(m):
+    for b in kernel_basis(m).basis:
         assert all(x == 0 for x in matvec(m, b))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 6).flatmap(
+        lambda c: st.lists(st.lists(rationals, min_size=c, max_size=c), max_size=6).map(
+            lambda rows: (rows, c)
+        )
+    ),
+    st.integers(0, 2),
+    st.integers(0, 2),
+)
+def test_kernel_is_the_reduced_echelon_form_of_the_naive_kernel(shape, zeros, repeat):
+    # 0 x n and m x 0 matrices, zero rows and repeated (dependent) rows
+    rows, ncols = shape
+    rows = rows + [[Fraction(0)] * ncols] * zeros + rows[:repeat]
+    got = kernel_basis(RationalMatrix.from_rows(rows, cols=ncols))
+    assert got.basis == naive_kernel_subspace(rows, ncols).basis
 
 
 @settings(max_examples=60, deadline=None)
@@ -196,7 +215,7 @@ def _assert_engine_matches_oracles(rows, rhs) -> None:
     m = RationalMatrix.from_rows(rows)
     rref, pivots = naive_rref(rows)
     assert rank(m) == len(pivots)
-    assert kernel_basis(m) == tuple(naive_kernel(rows, m.cols))
+    assert kernel_basis(m) == naive_kernel_subspace(rows, m.cols)
     assert subspace_from_span(rows, m.cols).basis == tuple(tuple(r) for r in rref)
     assert solve_particular(m, rhs) == naive_solve(rows, rhs, m.cols)
     k = min(m.rows, m.cols, 5)

@@ -30,9 +30,9 @@ from crnlocus.cone import (
     reduced_jr_rows,
 )
 from crnlocus.egraph import complete_graph, edge_subgraph
-from crnlocus.equiv import d0_basis, d0_dimension, j0_basis, j0_dimension
-from crnlocus.exactla import combine, coords_in_basis, dot, subspace_from_span, vec
-from crnlocus.locus import POWER_MAX_BITS, PsiDomainError
+from crnlocus.equiv import POWER_MAX_BITS, d0_basis, d0_dimension, j0_basis, j0_dimension
+from crnlocus.exactla import combine, coords_in_basis, dot, vec
+from crnlocus.locus import PsiDomainError
 
 from capped import run_capped
 from fixture_graphs import g_cyc, g_in, g_k4, g_two_vertex
@@ -220,6 +220,19 @@ class TestPsiMap:
         assert math.isclose(k0 * Fraction(10) ** (e // 2), 1, rel_tol=1e-12)
         assert math.isclose(k1 * Fraction(10) ** (3 * e // 2), 1, rel_tol=1e-12)
 
+    @pytest.mark.parametrize("e", [400, -400], ids=["power-underflows", "power-divides-by-zero"])
+    def test_negative_exponent_powers_past_the_float_range(self, e):
+        # Vertices -1/2 and 1/2 with x = 10^e: at 10^-400 the float of x is
+        # 0.0, whose power -1/2 divides by zero, and at 10^400 the power
+        # x^(-1/2) underflows to 0; both are taken in logs.
+        g = EGraph(1, [(Fraction(-1, 2),), (Fraction(1, 2),)], [(0, 1), (1, 0)])
+        x = Fraction(10) ** e
+        out = psi_map(g, g, EdgeVector.uniform(g), [x], [])
+        assert out.mode == "approximate"
+        k0, k1 = out.k.values
+        assert math.isclose(k0 * Fraction(10) ** -(e // 2), 1, rel_tol=1e-12)
+        assert math.isclose(k1 * Fraction(10) ** (e // 2), 1, rel_tol=1e-12)
+
     def test_state_power_past_the_bit_bound_raises(self):
         # x^(1/2) for x = 10^5000 is near 2^8305, past POWER_MAX_BITS
         g = EGraph(1, [(Fraction(1, 2),), (Fraction(3, 2),)], [(0, 1), (1, 0)])
@@ -245,6 +258,22 @@ class TestPsiHatInverse:
         assert pre.x.mode == "exact"
         assert pre.x.x == (1, 1)
         assert pre.p == ()
+
+    def test_mode_is_exact_only_with_exact_powers(self):
+        g1, g = g_k4(), g_in()
+        q = psi_small(g1, g, EdgeVector.uniform(g1))
+        pre = psi_hat_inverse(
+            g1, g, EdgeVector(g, [4, 4, 4, 4]), EdgeVector.uniform(g1), q, (1, 1)
+        )
+        assert pre.mode == "exact"
+        # The Birch point 2 is exact, but on the vertices 1/2 and 3/2 both
+        # fluxes 2 * 2^(1/2) and 1 * 2^(3/2) are rounded float powers.
+        g = EGraph(1, [(Fraction(1, 2),), (Fraction(3, 2),)], [(0, 1), (1, 0)])
+        k = EdgeVector(g, [2, 1])
+        pre = psi_hat_inverse(g, g, k, k, (), (1,))
+        assert pre.x.mode == "exact" and pre.x.x == (2,)
+        assert pre.mode == "approximate" and pre.to_json_dict()["mode"] == "approximate"
+        assert all(math.isclose(v, 2 * math.sqrt(2), rel_tol=1e-15) for v in pre.j_hat.values)
 
     def test_round_trip_exact(self):
         rng = random.Random(99)
@@ -568,7 +597,7 @@ class TestIntegerScan:
             # so it fixes the printed witnesses.
             oracle = monolithic_jr_subspace(sub, g)
             tilde = jr_subspace(sub, g)
-            assert tilde.basis == subspace_from_span(oracle.basis, sub.num_edges).basis, row
+            assert tilde == oracle, row
             assert jr_dimension(sub, g).to_json_dict()["tilde_dim"] == tilde.dim, row
             assert j0_dimension(sub) == dim_j0, row
             if applicable:

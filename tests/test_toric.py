@@ -10,6 +10,7 @@ from crnlocus import (
     EGraph,
     EdgeVector,
     NotWeaklyReversibleError,
+    Subspace,
     birch_point,
     is_toric,
     lyapunov_value,
@@ -100,7 +101,7 @@ class TestTreeConstants:
     def test_degenerate_kernel_is_internal_error(self, monkeypatch):
         # an inconsistency, not an argument error (the CLI maps ValueError to exit 2)
         plane = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
-        monkeypatch.setattr(toric, "kernel_basis", lambda m: plane)
+        monkeypatch.setattr(toric, "kernel_basis", lambda m: Subspace(2, plane))
         g = g_two_vertex()
         with pytest.raises(RuntimeError, match="corank 1"):
             tree_constants(g, EdgeVector(g, [2, 3]))
