@@ -53,6 +53,9 @@ def commands() -> list[list[str]]:
         cmds += [["analyze", _d(g)], ["--cap", "400", "enumerate-wr", _d(g)]]
         cmds.append(["--cap", "400", "bound", "--all", _d(g)])
     cmds += [["bound", "--all", _d(g)] for g in ("g_cyc", "g_k4", "g_in")]
+    # full tables: a 3-D graph, and one with half-integer coordinates
+    cmds += [["bound", "--all", _d(g)] for g in ("scan_3d", "scan_half")]
+    cmds.append(["--cap", "7", "bound", "--all", _d("scan_half")])
     cmds += [["bound", _d(g), _d(g1)] for g in GRAPHS for g1 in GRAPHS]
     for g, k in VECTORS:
         cmds += [["check", variant, _d(g), _d(k)] for variant in ("cb-flux", "toric")]
