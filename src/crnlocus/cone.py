@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .egraph import EGraph, NotWeaklyReversibleError, bfs, is_weakly_reversible, linkage_classes
 from .equiv import (
@@ -205,17 +205,16 @@ def out_span_normals(g: EGraph) -> dict[Vec, list[list[int]]]:
 
 
 def reduced_jr_rows(
-    g1: EGraph, normals_at: Mapping[Vec, Sequence[Sequence[int]]]
+    vertex: list[list[int]], balance: list[list[int]], nedges: int
 ) -> tuple[list[list[int]], bool]:
-    """Integer constraint rows of the cone subspace in fraction-free reduced
-    echelon form, zero rows dropped, plus the balance-only flag.
-
-    ``normals_at`` is ``out_span_normals(g)``.  The kernel of the rows is
-    the cone subspace, so its dimension is |E(g1)| minus the row count.
+    """Integer constraint rows of a cone subspace over ``nedges`` edges, the
+    vertex rows (``vertex_rows`` with normals) stacked on the balance rows
+    and reduced in place to fraction-free reduced echelon form, zero rows
+    dropped, plus the balance-only flag.  The kernel of the rows is the
+    cone subspace, so its dimension is ``nedges`` minus the row count.
     """
-    vertex = vertex_rows(g1, normals_at)
-    rows = vertex + balance_rows(g1)
-    del rows[len(bareiss(rows, g1.num_edges, reduced=True)[0]) :]
+    rows = vertex + balance
+    del rows[len(bareiss(rows, nedges, reduced=True)[0]) :]
     return rows, not vertex
 
 
@@ -236,16 +235,15 @@ def _cone_basis(rows: list[list[int]], nedges: int) -> Subspace:
     return kernel_basis(RationalMatrix.from_rows(rows, cols=nedges))
 
 
-def cone_dimension(g1: EGraph, normals_at: Mapping[Vec, Sequence[Sequence[int]]]) -> int | None:
-    """Dimension of the cone of the weakly reversible g1 against the target
-    whose ``out_span_normals`` are given, or None when the cone is empty:
-    the decision of ``jr_dimension``, with no witness or certificate, so
-    with no basis unless the simplex runs."""
-    rows, balance_only = reduced_jr_rows(g1, normals_at)
+def cone_dimension(vertex: list[list[int]], balance: list[list[int]], nedges: int) -> int | None:
+    """Dimension of the cone whose rows ``reduced_jr_rows`` reduces, or None
+    when it is empty: the decision of ``jr_dimension``, in its order, with
+    no witness or certificate, so with no basis unless the simplex runs."""
+    rows, balance_only = reduced_jr_rows(vertex, balance, nedges)
     if balance_only or (
-        farkas_row(rows) is None and positive_point(_cone_basis(rows, g1.num_edges)).feasible
+        farkas_row(rows) is None and positive_point(_cone_basis(rows, nedges)).feasible
     ):
-        return g1.num_edges - len(rows)
+        return nedges - len(rows)
     return None
 
 
@@ -258,7 +256,7 @@ def _cone_rows(g1: EGraph, g: EGraph) -> tuple[list[list[int]], bool]:
             "a non-weakly-reversible graph admits no positive balanced flux"
         )
     g.check_same_ambient(g1)
-    return reduced_jr_rows(g1, out_span_normals(g))
+    return reduced_jr_rows(vertex_rows(g1, out_span_normals(g)), balance_rows(g1), g1.num_edges)
 
 
 def jr_subspace(g1: EGraph, g: EGraph) -> Subspace:

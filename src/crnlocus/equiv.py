@@ -205,21 +205,40 @@ def vertex_imbalance(g: EGraph, flux: Sequence) -> list:
 
 
 def _local_rows(
-    g: EGraph, vi: int, normals: Sequence[Sequence[Rat]] | None = None
+    g: EGraph, edges: Sequence[int], normals: Sequence[Sequence[Rat]] | None = None
 ) -> list[list[Fraction]]:
-    """Rows over vi's out-edges: the reaction-vector coordinates, or their
-    dot products with each normal."""
-    rvs = [g.reaction_vectors[ei] for ei in g.out_edges[vi]]
+    """Rows over ``edges``, out-edges of one vertex: the reaction-vector
+    coordinates, or their dot products with each normal."""
+    rvs = [g.reaction_vectors[ei] for ei in edges]
     if normals is None:
         return [[rv[r] for rv in rvs] for r in range(g.n)]
     return [[dot(c, rv) for rv in rvs] for c in normals]
 
 
+def _local_block(
+    g: EGraph, edges: Sequence[int], normals: Sequence[Sequence[Rat]] | None = None
+) -> list[list[int]]:
+    """The nonzero local rows over ``edges``, each scaled to integers by its
+    own denominators: scaling a row keeps the row space, scaling a column
+    would not once the balance rows are stacked below."""
+    return [row for row in integer_rows(_local_rows(g, edges, normals)) if any(row)]
+
+
+def _embed(block: Sequence[Sequence[int]], columns: Sequence[int], width: int) -> list[list[int]]:
+    """The rows of ``block`` placed at ``columns`` of width-``width`` zero rows."""
+    rows = []
+    for local in block:
+        row = [0] * width
+        for c, x in zip(columns, local):
+            row[c] = x
+        rows.append(row)
+    return rows
+
+
 def vertex_rows(
     g: EGraph, normals_at: Mapping[Vec, Sequence[Sequence[Rat]]] | None = None
 ) -> list[list[int]]:
-    """The nonzero local rows of every vertex, each scaled to integers and
-    embedded in the edge space of g.
+    """The local blocks of every vertex, embedded in the edge space of g.
 
     At a vertex whose coordinates key ``normals_at`` the rows are dot
     products with those normals, elsewhere the reaction-vector
@@ -228,15 +247,9 @@ def vertex_rows(
     """
     rows = []
     for vi, out in enumerate(g.out_edges):
-        if not out:
-            continue
-        normals = normals_at.get(g.vertices[vi]) if normals_at else None
-        for local in integer_rows(_local_rows(g, vi, normals)):
-            if any(local):
-                row = [0] * g.num_edges
-                for ei, x in zip(out, local):
-                    row[ei] = x
-                rows.append(row)
+        if out:
+            normals = normals_at.get(g.vertices[vi]) if normals_at else None
+            rows += _embed(_local_block(g, out, normals), out, g.num_edges)
     return rows
 
 
@@ -244,8 +257,8 @@ def d0_dimension(g: EGraph) -> int:
     """dim D0(g) from integer ranks: the system is block-diagonal by source
     vertex, so it is the sum of |out(v)| - rank of the out-directions at v."""
     return sum(
-        len(out) - len(bareiss(integer_rows(_local_rows(g, vi)), len(out))[0])
-        for vi, out in enumerate(g.out_edges)
+        len(out) - len(bareiss(integer_rows(_local_rows(g, out)), len(out))[0])
+        for out in g.out_edges
         if out
     )
 
@@ -264,10 +277,10 @@ def d0_basis(g: EGraph) -> Subspace:
     echelon basis of D0.
     """
     by_pivot: list[tuple[int, Vec]] = []
-    for vi, out in enumerate(g.out_edges):
+    for out in g.out_edges:
         if not out:
             continue
-        local = kernel_basis(RationalMatrix.from_rows(_local_rows(g, vi), cols=len(out)))
+        local = kernel_basis(RationalMatrix.from_rows(_local_rows(g, out), cols=len(out)))
         for kv in local.basis:
             v = [_ZERO] * g.num_edges
             for ei, x in zip(out, kv):
@@ -324,7 +337,7 @@ def realize_with_diagnostic(
             if target != zero:
                 return None, coords
             continue
-        local = RationalMatrix.from_rows(_local_rows(g_tgt, vi), cols=len(out))
+        local = RationalMatrix.from_rows(_local_rows(g_tgt, out), cols=len(out))
         sol = solve_particular(local, target)
         if sol is None:
             return None, coords

@@ -21,13 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .cone import (
-    ConeResult,
-    cone_dimension,
-    jr_dimension,
-    membership_failure,
-    out_span_normals,
-)
+from .cone import ConeResult, cone_dimension, jr_dimension, membership_failure, out_span_normals
 from .egraph import (
     EGraph,
     NotWeaklyReversibleError,
@@ -39,6 +33,8 @@ from .egraph import (
 )
 from .equiv import (
     EdgeVector,
+    _embed,
+    _local_block,
     d0_basis,
     d0_dimension,
     is_dynamically_equivalent,
@@ -47,7 +43,17 @@ from .equiv import (
     realize_on,
     state_power,
 )
-from .exactla import Rat, Vec, combine, coords_in_basis, orthogonalize, subspace_from_span, vec
+from .exactla import (
+    Rat,
+    Vec,
+    bareiss,
+    combine,
+    coords_in_basis,
+    integer_rows,
+    orthogonalize,
+    subspace_from_span,
+    vec,
+)
 from .jsonutil import rationals_to_json
 from .toric import SteadyState, birch_point, is_toric
 
@@ -359,16 +365,25 @@ def global_lower_bound(g: EGraph, cap: int | None = None) -> GlobalBoundResult:
     subgraph can beat it, and none can win the tie.  ``cap`` (at least 0)
     limits the number of weakly reversible subgraphs examined.
 
-    Each subgraph's terms come from small integer ranks.  Only a subgraph
-    that beats the incumbent gets the full ``pair_lower_bound`` report,
-    and its terms must agree with the integer ones.
+    The scan reads masks of the complete graph and builds no graph per
+    mask.  A vertex's cone and J0 row blocks depend only on which of its
+    out-edges the mask keeps, so each is built once per kept set and
+    cached for the call; a mask embeds them at its columns (its edges,
+    ascending), stacks them on its balance rows, and takes every term
+    from integer eliminations.  Only a subgraph that beats the incumbent
+    becomes a graph, and its full ``pair_lower_bound`` report must agree
+    with those terms.
     """
     m = g.num_vertices
     check_enumerable(m * (m - 1), cap)
     gc = complete_graph(g)
-    # Terms that depend on g alone.
+    # Terms that depend on g alone, and per-vertex data of the complete graph.
     normals_at = out_span_normals(g)
+    normals = [normals_at.get(v) for v in gc.vertices]
     dim_d0 = d0_dimension(g)
+    reaction = integer_rows(gc.reaction_vectors)
+    out_bits = [sum(1 << ei for ei in out) for out in gc.out_edges]
+    blocks: dict[int, tuple[list[list[int]], list[list[int]]]] = {}  # kept bits -> blocks
     best: BoundReport | None = None
     best_mask: int | None = None
     best_sub: EGraph | None = None
@@ -381,18 +396,41 @@ def global_lower_bound(g: EGraph, cap: int | None = None) -> GlobalBoundResult:
         if cap is not None and examined >= cap:
             exhausted = False
             break
-        sub = edge_subgraph(gc, [i for i in range(gc.num_edges) if mask >> i & 1])
         examined += 1
-        dim_jr = cone_dimension(sub, normals_at)
+        edges = [ei for ei in range(gc.num_edges) if mask >> ei & 1]
+        nedges = len(edges)
+        # Every vertex a weakly reversible mask touches keeps out-edges.
+        balance = {vi: [0] * nedges for vi, bits in enumerate(out_bits) if mask & bits}
+        for col, ei in enumerate(edges):
+            s, t = gc.edges[ei]
+            balance[s][col] -= 1
+            balance[t][col] += 1
+        placed, start = [], 0
+        for vi in balance:
+            kept = mask & out_bits[vi]
+            if kept not in blocks:
+                out = [ei for ei in gc.out_edges[vi] if kept >> ei & 1]
+                coords = _local_block(gc, out)
+                at = normals[vi]
+                blocks[kept] = (coords if at is None else _local_block(gc, out, at), coords)
+            # The complete graph groups edges by source, so a vertex's kept
+            # edges are consecutive columns of the mask.
+            cols = range(start, start + kept.bit_count())
+            start = cols.stop
+            placed.append((blocks[kept], cols))
+        cone = [row for (block, _), cols in placed for row in _embed(block, cols, nedges)]
+        dim_jr = cone_dimension(cone, [list(r) for r in balance.values()], nedges)
         if dim_jr is None:
-            rows.append(SubgraphBoundRow(mask, sub.num_edges, False, None, None, None))
+            rows.append(SubgraphBoundRow(mask, nedges, False, None, None, None))
             continue
-        dim_s = stoich_dim(sub)
-        dim_j0 = j0_dimension(sub)
+        dim_s = len(bareiss([list(reaction[ei]) for ei in edges], gc.n)[0])
+        j0 = [row for (_, block), cols in placed for row in _embed(block, cols, nedges)]
+        dim_j0 = nedges - len(bareiss(j0 + list(balance.values()), nedges)[0])
         raw = dim_jr + dim_s + dim_d0 - dim_j0
         capped = min(raw, target)
-        rows.append(SubgraphBoundRow(mask, sub.num_edges, True, dim_jr, raw, capped))
+        rows.append(SubgraphBoundRow(mask, nedges, True, dim_jr, raw, capped))
         if best is None or capped > best.capped_bound:
+            sub = edge_subgraph(gc, edges)
             report = pair_lower_bound(g, sub)
             terms = (True, dim_jr, dim_s, dim_d0, dim_j0)
             reported = (

@@ -2,7 +2,9 @@
 cross-check the library's optimized paths.  Nothing here imports the
 functions it checks; ``basis_pair_terms`` checks the integer-rank scan
 against exact bases, with the cone subspace from the monolithic
-construction ``monolithic_jr_subspace``, and ``rk4_every_stage`` checks
+construction ``monolithic_jr_subspace``; ``per_subgraph_global_bound``
+checks the mask scan of ``global_lower_bound`` by building a graph per
+mask; and ``rk4_every_stage`` checks
 ``ode_trajectory`` against the one-shot ``mass_action_rhs``, which the
 direct right-hand-side oracles check in turn.
 
@@ -34,15 +36,27 @@ from crnlocus import (
     positive_point,
     subspace_from_span,
 )
-from crnlocus.egraph import edge_subgraph, iter_wr_edge_masks, stoich_dim
+from crnlocus.cone import cone_dimension, out_span_normals
+from crnlocus.egraph import (
+    check_enumerable,
+    complete_graph,
+    edge_subgraph,
+    iter_wr_edge_masks,
+    stoich_dim,
+    wr_masks_by_size,
+)
 from crnlocus.equiv import (
     balance_rows,
     d0_basis,
+    d0_dimension,
     j0_basis,
+    j0_dimension,
     mass_action_field,
     state_power,
     vertex_imbalance,
+    vertex_rows,
 )
+from crnlocus.locus import GlobalBoundResult, SubgraphBoundRow, pair_lower_bound
 from crnlocus.exactla import Vec, dot, vec
 from crnlocus.toric import ODE_DT_MIN, ConvergenceError, _cb_relative_residual
 
@@ -251,6 +265,42 @@ def basis_pair_terms(g: EGraph, g1: EGraph) -> tuple:
         d0_basis(g).dim,
         j0_basis(g1).dim,
     )
+
+
+def per_subgraph_global_bound(g: EGraph, cap: int | None = None) -> GlobalBoundResult:
+    """``global_lower_bound`` with a graph per mask: every weakly reversible
+    subgraph of the complete graph becomes an ``edge_subgraph``, and its
+    terms come from its own ``vertex_rows``, ``cone_dimension``,
+    ``stoich_dim`` and ``j0_dimension``."""
+    m = g.num_vertices
+    check_enumerable(m * (m - 1), cap)
+    gc = complete_graph(g)
+    normals_at = out_span_normals(g)
+    dim_d0 = d0_dimension(g)
+    best = best_mask = best_sub = None
+    rows = []
+    examined = 0
+    exhausted = True
+    target = g.num_edges
+    for mask in wr_masks_by_size(gc, None if cap is None else cap + 1):
+        if cap is not None and examined >= cap:
+            exhausted = False
+            break
+        sub = edge_subgraph(gc, [i for i in range(gc.num_edges) if mask >> i & 1])
+        examined += 1
+        dim_jr = cone_dimension(vertex_rows(sub, normals_at), balance_rows(sub), sub.num_edges)
+        if dim_jr is None:
+            rows.append(SubgraphBoundRow(mask, sub.num_edges, False, None, None, None))
+            continue
+        raw = dim_jr + stoich_dim(sub) + dim_d0 - j0_dimension(sub)
+        capped = min(raw, target)
+        rows.append(SubgraphBoundRow(mask, sub.num_edges, True, dim_jr, raw, capped))
+        if best is None or capped > best.capped_bound:
+            best, best_mask, best_sub = pair_lower_bound(g, sub), mask, sub
+            if capped >= target:
+                exhausted = False
+                break
+    return GlobalBoundResult(best, best_mask, best_sub, tuple(rows), examined, exhausted)
 
 
 def naive_consistent(rows, ratios) -> bool:

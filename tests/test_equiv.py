@@ -252,7 +252,8 @@ class TestOneEliminationPerBasis:
 
     def test_cone_basis(self, bareiss_calls):
         for g1, g in [(g_k4(), g_in()), (g_k4(), g_cyc()), (g_cyc(), g_in())]:
-            rows, _ = cone.reduced_jr_rows(g1, cone.out_span_normals(g))
+            vertex = equiv.vertex_rows(g1, cone.out_span_normals(g))
+            rows, _ = cone.reduced_jr_rows(vertex, balance_rows(g1), g1.num_edges)
             before = len(bareiss_calls)
             cone._cone_basis(rows, g1.num_edges)
             assert len(bareiss_calls) - before == 1

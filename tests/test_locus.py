@@ -29,8 +29,18 @@ from crnlocus.cone import (
     positive_point,
     reduced_jr_rows,
 )
+from crnlocus import locus
 from crnlocus.egraph import complete_graph, edge_subgraph
-from crnlocus.equiv import POWER_MAX_BITS, d0_basis, d0_dimension, j0_basis, j0_dimension
+from crnlocus.equiv import (
+    POWER_MAX_BITS,
+    _local_block,
+    balance_rows,
+    d0_basis,
+    d0_dimension,
+    j0_basis,
+    j0_dimension,
+    vertex_rows,
+)
 from crnlocus.exactla import combine, coords_in_basis, dot, vec
 from crnlocus.locus import PsiDomainError
 
@@ -39,6 +49,7 @@ from fixture_graphs import g_cyc, g_in, g_k4, g_two_vertex
 from oracles import (
     basis_pair_terms,
     monolithic_jr_subspace,
+    per_subgraph_global_bound,
     random_four_vertex_graph,
     random_positive_rational,
 )
@@ -617,16 +628,20 @@ class TestIntegerScan:
         normals_at = out_span_normals(g)
         for row in _scan(name)[1]:
             sub = _subgraph(g, row.mask)
-            if farkas_row(reduced_jr_rows(sub, normals_at)[0]) is not None:
+            vertex = vertex_rows(sub, normals_at)
+            rows, _ = reduced_jr_rows(vertex, balance_rows(sub), sub.num_edges)
+            if farkas_row(rows) is not None:
                 assert not positive_point(jr_subspace(sub, g)).feasible, row
 
     def test_sign_rule_certifies_empty_pair(self):
         from test_cone import empty_pair
 
         g1, g = empty_pair()
-        rows, balance_only = reduced_jr_rows(g1, out_span_normals(g))
+        normals_at = out_span_normals(g)
+        vertex = vertex_rows(g1, normals_at)
+        rows, balance_only = reduced_jr_rows(vertex, balance_rows(g1), g1.num_edges)
         assert not balance_only and farkas_row(rows) is not None
-        assert cone_dimension(g1, out_span_normals(g)) is None
+        assert cone_dimension(vertex_rows(g1, normals_at), balance_rows(g1), g1.num_edges) is None
 
     def test_non_integer_rows_scaled_per_row(self):
         # Scaling each reaction vector to integers, rather than each row,
@@ -639,5 +654,63 @@ class TestIntegerScan:
         assert j0_dimension(g1) == j0_basis(g1).dim == g1.num_edges - 7
         for target in (g, g1, g_k4()):
             normals_at = out_span_normals(target)
-            assert cone_dimension(g1, normals_at) == basis_pair_terms(target, g1)[1]
+            vertex = vertex_rows(g1, normals_at)
+            assert (
+                cone_dimension(vertex, balance_rows(g1), g1.num_edges)
+                == basis_pair_terms(target, g1)[1]
+            )
             assert d0_dimension(target) == d0_basis(target).dim
+        # The scan builds its own blocks: against the complete graph it
+        # reaches g1's mask, and its raw bound there needs dim J0 = 1.
+        gc = complete_graph(g)
+        mask = sum(1 << gc.edges.index(e) for e in g1.edges)
+        (row,) = [r for r in global_lower_bound(gc).table if r.mask == mask]
+        applicable, dim_jr, dim_s, dim_d0, dim_j0 = basis_pair_terms(gc, g1)
+        assert dim_j0 == 1
+        assert (row.applicable, row.dim_jr, row.raw_bound) == (
+            applicable, dim_jr, dim_jr + dim_s + dim_d0 - dim_j0
+        )
+
+
+# Caps for the cross-check against the per-subgraph scan: none, zero, one,
+# and two that stop inside the smallest size levels.
+ORACLE_CAPS = (None, 0, 1, 7, 25)
+
+
+class TestMaskScan:
+    """The scan over masks of the complete graph against the oracle that
+    builds a graph per mask, and the work the scan may do."""
+
+    @pytest.mark.parametrize("name", SCAN_CONFIGS)
+    def test_matches_per_subgraph_scan(self, name):
+        g = SCAN_CONFIGS[name]
+        for cap in ORACLE_CAPS:
+            res = _scan(name)[0] if cap is None else global_lower_bound(g, cap)
+            assert res.to_json_dict() == per_subgraph_global_bound(g, cap).to_json_dict(), cap
+
+    @pytest.mark.parametrize("name", ["g_k4", "g_cyc", "r11-3d-den1"])
+    def test_graphs_only_for_incumbents_and_blocks_once(self, name, monkeypatch):
+        g = SCAN_CONFIGS[name]
+        subgraphs, blocks = [], []
+
+        def counting_subgraph(gc, edges):
+            subgraphs.append(tuple(edges))
+            return edge_subgraph(gc, edges)
+
+        def counting_block(gc, edges, normals=None):
+            blocks.append((tuple(edges), normals is None))
+            return _local_block(gc, edges, normals)
+
+        monkeypatch.setattr(locus, "edge_subgraph", counting_subgraph)
+        monkeypatch.setattr(locus, "_local_block", counting_block)
+        res = global_lower_bound(g)
+        increases, best = 0, None
+        for row in res.table:
+            if row.applicable and (best is None or row.capped_bound > best):
+                increases, best = increases + 1, row.capped_bound
+        assert len(subgraphs) == increases >= 1
+        # One block of each kind per (vertex, kept out-edges) at most.
+        m = g.num_vertices
+        assert len(set(blocks)) == len(blocks)
+        for coords in (True, False):
+            assert sum(kind == coords for _, kind in blocks) <= m * 2 ** (m - 1)
