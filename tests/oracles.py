@@ -333,6 +333,19 @@ def random_four_vertex_graph(rng: random.Random, n: int, den: int = 1) -> EGraph
             return EGraph(n, sorted(points), edges)
 
 
+def random_m_vertex_graph(rng: random.Random, m: int, n: int, den: int = 1) -> EGraph:
+    """m distinct points with coordinates in (1/den)Z, |coordinate| <= 2,
+    joined by m to 2m random edges that touch every point."""
+    points: set[tuple[Fraction, ...]] = set()
+    while len(points) < m:
+        points.add(tuple(Fraction(rng.randint(-2 * den, 2 * den), den) for _ in range(n)))
+    pairs = [(i, j) for i in range(m) for j in range(m) if i != j]
+    while True:
+        edges = sorted(rng.sample(pairs, rng.randint(m, 2 * m)))
+        if len({v for e in edges for v in e}) == m:
+            return EGraph(n, sorted(points), edges)
+
+
 def direct_net_vectors(g: EGraph, values) -> dict:
     """Per-vertex net vectors by direct summation over the edge list."""
     out = {}

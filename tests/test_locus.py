@@ -51,6 +51,7 @@ from oracles import (
     monolithic_jr_subspace,
     per_subgraph_global_bound,
     random_four_vertex_graph,
+    random_m_vertex_graph,
     random_positive_rational,
 )
 
@@ -687,6 +688,18 @@ class TestMaskScan:
         for cap in ORACLE_CAPS:
             res = _scan(name)[0] if cap is None else global_lower_bound(g, cap)
             assert res.to_json_dict() == per_subgraph_global_bound(g, cap).to_json_dict(), cap
+
+    @pytest.mark.parametrize("m", [5, 6, 7])
+    def test_matches_per_subgraph_scan_past_four_vertices(self, m):
+        # More blocks per vertex and masks of up to 42 edges; the uncapped
+        # scan is long here, so caps stop it.
+        rng = random.Random(m)
+        for n, den in ((2, 1), (3, 2)):
+            g = random_m_vertex_graph(rng, m, n, den)
+            for cap in (40, 300):
+                res = global_lower_bound(g, cap)
+                assert res.best is not None and res.examined == cap
+                assert res.to_json_dict() == per_subgraph_global_bound(g, cap).to_json_dict()
 
     @pytest.mark.parametrize("name", ["g_k4", "g_cyc", "r11-3d-den1"])
     def test_graphs_only_for_incumbents_and_blocks_once(self, name, monkeypatch):
