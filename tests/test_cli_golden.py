@@ -56,6 +56,9 @@ def commands() -> list[list[str]]:
     # full tables: a 3-D graph, and one with half-integer coordinates
     cmds += [["bound", "--all", _d(g)] for g in ("scan_3d", "scan_half")]
     cmds.append(["--cap", "7", "bound", "--all", _d("scan_half")])
+    # past four vertices: 5 vertices in 3-D, half-integer, with locally empty
+    # and balance-only masks among the first 300
+    cmds.append(["--cap", "300", "bound", "--all", _d("scan_5v")])
     cmds += [["bound", _d(g), _d(g1)] for g in GRAPHS for g1 in GRAPHS]
     for g, k in VECTORS:
         cmds += [["check", variant, _d(g), _d(k)] for variant in ("cb-flux", "toric")]
