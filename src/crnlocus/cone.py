@@ -8,19 +8,24 @@ here row by row) with the open positive orthant, so its dimension is
 the subspace dimension when a strictly positive point exists and zero
 otherwise.
 
-The scan (``cone_dimension``) and the report (``jr_dimension``) decide
-every cone in one order, from the rows of one integer elimination.  A
-system of balance rows alone is nonempty because g1 is weakly
-reversible; the report's witness sums, over the edges s -> t, the cycles
-closed through the smallest vertex of the linkage class by a BFS
-in-tree (t -> root) and out-tree (root -> s), in linear time.
-That witness is checked against the integer rows themselves, so a
-balance-only cone builds no basis: its dimension is |E(g1)| minus the
-row count.  A sign-definite row certifies emptiness by its absolute
-values.  Else an exact rational phase-1 simplex with Bland's rule
-decides on the canonical reduced echelon basis of the subspace, and its
-dual certifies emptiness.  Every certificate is checked nonnegative,
-nonzero and orthogonal to that basis.
+The cone factors by vertex (the Matrix-Tree argument of Craciun,
+Dickenstein, Shiu and Sturmfels, "Toric dynamical systems", 2009).  Let
+L_v be the kernel of v's vertex rows, which touch only v's out-edges.
+The cone is nonempty iff every L_v holds a positive vector, and then
+its subspace has dimension sum dim L_v - |V1| + l1, for l1 linkage
+classes.  Proof: positive kappa_v in each L_v are the rates of a Markov
+chain on g1, whose strongly connected classes have positive stationary
+pi, so j_e = pi_s kappa_e is positive, balanced and in every L_v.  The
+balance map sends the sum of the L_v into the vectors that sum to zero
+on each class, of dimension |V1| - l1, and the generator rows B kappa_v
+already span that.  The converse holds as the vertex rows are
+block-diagonal by source vertex.  So the scan of ``bound --all`` runs
+``cone_dimension`` on one vertex's rows at a time.
+
+``cone_dimension`` and the report (``jr_dimension``) decide a system in
+one order, from the rows of one integer elimination; the simplex pivots
+on the canonical reduced echelon basis of its kernel, and every
+certificate is checked nonnegative, nonzero and orthogonal to it.
 """
 
 from __future__ import annotations
@@ -229,9 +234,9 @@ def farkas_row(rows: Sequence[Sequence[int]]) -> Sequence[int] | None:
 
 def _cone_basis(rows: list[list[int]], nedges: int) -> Subspace:
     """The kernel of ``rows`` as its canonical reduced echelon Subspace,
-    from one elimination: the one basis the simplex pivots on, in the scan
-    and in the report, built only where a sign-definite row or the simplex
-    decides the cone."""
+    from one elimination: the one basis the simplex pivots on, in a vertex
+    block of the scan and in the report, built only where a sign-definite
+    row or the simplex decides the cone."""
     return kernel_basis(RationalMatrix.from_rows(rows, cols=nedges))
 
 
@@ -272,10 +277,11 @@ def jr_subspace(g1: EGraph, g: EGraph) -> Subspace:
 def _cycle_flux(g1: EGraph) -> EdgeVector:
     """A strictly positive, integral, balanced flux on the weakly reversible g1.
 
-    The sum over the edges s -> t of the cycles s -> t -> root -> s of the
-    module docstring, rooted at the smallest vertex of each linkage class:
-    an in-tree edge carries one unit per edge whose head lies below it, an
-    out-tree edge one per edge whose tail does.
+    The sum over the edges s -> t of the cycles s -> t -> root -> s closed
+    by a BFS in-tree and out-tree, in linear time, rooted at the smallest
+    vertex of each linkage class: an in-tree edge carries one unit per
+    edge whose head lies below it, an out-tree edge one per edge whose
+    tail does.
     """
     values = [1] * g1.num_edges
     for cls in linkage_classes(g1):
@@ -340,8 +346,9 @@ def is_member_jr(g1: EGraph, g: EGraph, j: EdgeVector) -> bool:
 def jr_dimension(g1: EGraph, g: EGraph) -> ConeResult:
     """ConeResult for the pair: dimension plus a verified witness or certificate.
 
-    A balance-only system takes the cycle flux as its witness, checked
-    against the integer rows, and builds no basis; otherwise a
+    A balance-only system, nonempty as g1 is weakly reversible, takes the
+    cycle flux as its witness, checked against the integer rows, and
+    builds no basis; otherwise a
     sign-definite row, in absolute value, certifies emptiness, and the
     exact simplex decides the rest, both on the canonical basis.  Every
     witness is re-verified by the membership test before it is reported.

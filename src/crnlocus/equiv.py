@@ -224,15 +224,20 @@ def _local_block(
     return [row for row in integer_rows(_local_rows(g, edges, normals)) if any(row)]
 
 
-def _embed(block: Sequence[Sequence[int]], columns: Sequence[int], width: int) -> list[list[int]]:
-    """The rows of ``block`` placed at ``columns`` of width-``width`` zero rows."""
-    rows = []
-    for local in block:
-        row = [0] * width
-        for c, x in zip(columns, local):
-            row[c] = x
-        rows.append(row)
-    return rows
+def _local_d0_image(g: EGraph, edges: Sequence[int]) -> list[list[int]]:
+    """The local D0 of ``edges``, out-edges of one vertex (the kernel of
+    their coordinate rows), its canonical basis pushed through the balance
+    map: per basis vector, one integer row of inflow minus outflow at each
+    vertex of g."""
+    images = []
+    for kv in kernel_basis(RationalMatrix.from_rows(_local_rows(g, edges), cols=len(edges))).basis:
+        row = [_ZERO] * g.num_vertices
+        for ei, x in zip(edges, kv):
+            s, t = g.edges[ei]
+            row[s] -= x
+            row[t] += x
+        images.append(row)
+    return integer_rows(images)
 
 
 def vertex_rows(
@@ -247,9 +252,12 @@ def vertex_rows(
     """
     rows = []
     for vi, out in enumerate(g.out_edges):
-        if out:
-            normals = normals_at.get(g.vertices[vi]) if normals_at else None
-            rows += _embed(_local_block(g, out, normals), out, g.num_edges)
+        normals = normals_at.get(g.vertices[vi]) if normals_at else None
+        for local in _local_block(g, out, normals):
+            row = [0] * g.num_edges
+            for ei, x in zip(out, local):
+                row[ei] = x
+            rows.append(row)
     return rows
 
 

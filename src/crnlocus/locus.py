@@ -33,8 +33,8 @@ from .egraph import (
 )
 from .equiv import (
     EdgeVector,
-    _embed,
     _local_block,
+    _local_d0_image,
     d0_basis,
     d0_dimension,
     is_dynamically_equivalent,
@@ -355,6 +355,31 @@ class GlobalBoundResult:
         }
 
 
+def _vertex_terms(gc: EGraph, vi: int, kept: int, normals: list[list[int]] | None) -> tuple | None:
+    """Vertex ``vi``'s terms in a mask keeping its out-edges ``kept`` (bits):
+    None when its local cone is empty, else the local cone dimension, its
+    local D0 pushed through the balance map, its reaction rows reduced to
+    a basis, and the bits of ``vi`` and its heads."""
+    out = [ei for ei in gc.out_edges[vi] if kept >> ei & 1]
+    cone_dim = cone_dimension(_local_block(gc, out, normals), [], len(out))
+    if cone_dim is None:
+        return None
+    reaction = integer_rows(gc.reaction_vectors[ei] for ei in out)
+    del reaction[len(bareiss(reaction, gc.n)[0]) :]
+    group = sum(1 << gc.edges[ei][1] for ei in out) | 1 << vi
+    return cone_dim, _local_d0_image(gc, out), reaction, group
+
+
+def _class_count(groups: Sequence[int]) -> int:
+    """Connected components of the union of the vertex sets ``groups`` (bits);
+    the classes stay disjoint, so their sum is their union."""
+    classes: list[int] = []
+    for group in groups:
+        joined = [c for c in classes if c & group]
+        classes = [c for c in classes if not c & group] + [group | sum(joined)]
+    return len(classes)
+
+
 def global_lower_bound(g: EGraph, cap: int | None = None) -> GlobalBoundResult:
     """Maximize the capped pair bound over weakly reversible subgraphs of g's
     complete graph.
@@ -366,13 +391,16 @@ def global_lower_bound(g: EGraph, cap: int | None = None) -> GlobalBoundResult:
     limits the number of weakly reversible subgraphs examined.
 
     The scan reads masks of the complete graph and builds no graph per
-    mask.  A vertex's cone and J0 row blocks depend only on which of its
-    out-edges the mask keeps, so each is built once per kept set and
-    cached for the call; a mask embeds them at its columns (its edges,
-    ascending), stacks them on its balance rows, and takes every term
-    from integer eliminations.  Only a subgraph that beats the incumbent
-    becomes a graph, and its full ``pair_lower_bound`` report must agree
-    with those terms.
+    mask.  By the lemma of the ``cone`` module, a cone is nonempty iff the
+    kernel L_v of each vertex's rows holds a positive vector, and then
+    dim J~R = sum dim L_v - |V1| + l1, for l1 linkage classes: positive
+    rates in the L_v make a Markov chain whose stationary flux is in the
+    cone, and whose generator rows span the balance image.  dim S is the
+    rank of the reaction rows, and dim J0 the sum of the local D0
+    dimensions minus the rank of their balance images.  Each vertex's
+    terms depend only on the out-edges the mask keeps there, so they are
+    built once per kept set.  Only a subgraph that beats the incumbent
+    becomes a graph, and its full ``pair_lower_bound`` report must agree.
     """
     m = g.num_vertices
     check_enumerable(m * (m - 1), cap)
@@ -381,9 +409,8 @@ def global_lower_bound(g: EGraph, cap: int | None = None) -> GlobalBoundResult:
     normals_at = out_span_normals(g)
     normals = [normals_at.get(v) for v in gc.vertices]
     dim_d0 = d0_dimension(g)
-    reaction = integer_rows(gc.reaction_vectors)
     out_bits = [sum(1 << ei for ei in out) for out in gc.out_edges]
-    blocks: dict[int, tuple[list[list[int]], list[list[int]]]] = {}  # kept bits -> blocks
+    local: dict[int, tuple | None] = {}  # kept bits -> _vertex_terms
     best: BoundReport | None = None
     best_mask: int | None = None
     best_sub: EGraph | None = None
@@ -397,40 +424,31 @@ def global_lower_bound(g: EGraph, cap: int | None = None) -> GlobalBoundResult:
             exhausted = False
             break
         examined += 1
-        edges = [ei for ei in range(gc.num_edges) if mask >> ei & 1]
-        nedges = len(edges)
-        # Every vertex a weakly reversible mask touches keeps out-edges.
-        balance = {vi: [0] * nedges for vi, bits in enumerate(out_bits) if mask & bits}
-        for col, ei in enumerate(edges):
-            s, t = gc.edges[ei]
-            balance[s][col] -= 1
-            balance[t][col] += 1
-        placed, start = [], 0
-        for vi in balance:
-            kept = mask & out_bits[vi]
-            if kept not in blocks:
-                out = [ei for ei in gc.out_edges[vi] if kept >> ei & 1]
-                coords = _local_block(gc, out)
-                at = normals[vi]
-                blocks[kept] = (coords if at is None else _local_block(gc, out, at), coords)
-            # The complete graph groups edges by source, so a vertex's kept
-            # edges are consecutive columns of the mask.
-            cols = range(start, start + kept.bit_count())
-            start = cols.stop
-            placed.append((blocks[kept], cols))
-        cone = [row for (block, _), cols in placed for row in _embed(block, cols, nedges)]
-        dim_jr = cone_dimension(cone, [list(r) for r in balance.values()], nedges)
-        if dim_jr is None:
+        nedges = mask.bit_count()
+        # Every vertex a weakly reversible mask touches keeps out-edges, so
+        # the parts are one per vertex of the subgraph.
+        parts = []
+        for vi, bits in enumerate(out_bits):
+            kept = mask & bits
+            if kept:
+                if kept not in local:
+                    local[kept] = _vertex_terms(gc, vi, kept, normals[vi])
+                parts.append(local[kept])
+                if parts[-1] is None:
+                    break
+        if parts[-1] is None:
             rows.append(SubgraphBoundRow(mask, nedges, False, None, None, None))
             continue
-        dim_s = len(bareiss([list(reaction[ei]) for ei in edges], gc.n)[0])
-        j0 = [row for (_, block), cols in placed for row in _embed(block, cols, nedges)]
-        dim_j0 = nedges - len(bareiss(j0 + list(balance.values()), nedges)[0])
+        cone_dims, d0_images, reactions, groups = zip(*parts)
+        dim_jr = sum(cone_dims) - len(parts) + _class_count(groups)
+        dim_s = len(bareiss([list(r) for block in reactions for r in block], gc.n)[0])
+        images = [list(r) for block in d0_images for r in block]
+        dim_j0 = len(images) - len(bareiss(images, m)[0])
         raw = dim_jr + dim_s + dim_d0 - dim_j0
         capped = min(raw, target)
         rows.append(SubgraphBoundRow(mask, nedges, True, dim_jr, raw, capped))
         if best is None or capped > best.capped_bound:
-            sub = edge_subgraph(gc, edges)
+            sub = edge_subgraph(gc, [ei for ei in range(gc.num_edges) if mask >> ei & 1])
             report = pair_lower_bound(g, sub)
             terms = (True, dim_jr, dim_s, dim_d0, dim_j0)
             reported = (
@@ -439,7 +457,7 @@ def global_lower_bound(g: EGraph, cap: int | None = None) -> GlobalBoundResult:
             if reported != terms:
                 raise RuntimeError(
                     f"internal inconsistency: the report for subgraph mask {mask} has terms "
-                    f"{reported}, the integer ranks gave {terms}"
+                    f"{reported}, the per-vertex terms gave {terms}"
                 )
             best, best_mask, best_sub = report, mask, sub
             if capped >= target:

@@ -4,7 +4,8 @@ functions it checks; ``basis_pair_terms`` checks the integer-rank scan
 against exact bases, with the cone subspace from the monolithic
 construction ``monolithic_jr_subspace``; ``per_subgraph_global_bound``
 checks the mask scan of ``global_lower_bound`` by building a graph per
-mask; and ``rk4_every_stage`` checks
+mask; ``local_cone_blocks`` and ``has_positive_kernel_point`` check the
+per-vertex cone lemma against ``jr_dimension``; and ``rk4_every_stage`` checks
 ``ode_trajectory`` against the one-shot ``mass_action_rhs``, which the
 direct right-hand-side oracles check in turn.
 
@@ -301,6 +302,50 @@ def per_subgraph_global_bound(g: EGraph, cap: int | None = None) -> GlobalBoundR
                 exhausted = False
                 break
     return GlobalBoundResult(best, best_mask, best_sub, tuple(rows), examined, exhausted)
+
+
+def random_wr_subgraph(rng: random.Random, g: EGraph) -> EGraph:
+    """The union of 1 to 3 random cycles of the complete graph on g's
+    vertices: weakly reversible, since every edge lies on a cycle."""
+    gc = complete_graph(g)
+    edges = set()
+    for _ in range(rng.randint(1, 3)):
+        cycle = rng.sample(range(g.num_vertices), rng.randint(2, g.num_vertices))
+        edges.update(gc.edges.index(e) for e in zip(cycle, cycle[1:] + cycle[:1]))
+    return edge_subgraph(gc, sorted(edges))
+
+
+def local_cone_blocks(g1: EGraph, g: EGraph) -> list[list[list[Fraction]]]:
+    """Per vertex of g1, the rows over its out-edges whose kernel is its
+    local cone: dot products with the normals of g's outgoing span at that
+    point (the naive kernel of g's out-directions there), or the
+    reaction-vector coordinates where g has no out-edges at that point."""
+    blocks = []
+    for vi, out in enumerate(g1.out_edges):
+        rvs = [g1.reaction_vectors[ei] for ei in out]
+        wi = g.coord_index.get(g1.vertices[vi])
+        if wi is not None and g.out_edges[wi]:
+            normals = naive_kernel([g.reaction_vectors[ei] for ei in g.out_edges[wi]], g.n)
+            blocks.append([[dot(c, rv) for rv in rvs] for c in normals])
+        else:
+            blocks.append([[rv[r] for rv in rvs] for r in range(g.n)])
+    return blocks
+
+
+def has_positive_kernel_point(rows, ncols: int) -> bool:
+    """Whether the kernel of ``rows`` holds a strictly positive vector, by
+    enumerating supports.  The nonnegative vectors of a subspace are sums
+    of its nonnegative elementary vectors (those of minimal support), so
+    a positive one exists iff their supports cover every column; a support
+    carries one iff the kernel on those columns is a line spanned by a
+    vector whose entries are all nonzero and of one sign."""
+    covered: set[int] = set()
+    for size in range(1, ncols + 1):
+        for cols in itertools.combinations(range(ncols), size):
+            kernel = naive_kernel([[r[j] for j in cols] for r in rows], size)
+            if len(kernel) == 1 and (all(x > 0 for x in kernel[0]) or all(x < 0 for x in kernel[0])):
+                covered.update(cols)
+    return len(covered) == ncols
 
 
 def naive_consistent(rows, ratios) -> bool:

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crnlocus import (
     EGraph,
@@ -18,6 +20,7 @@ from crnlocus import (
 )
 from crnlocus import cone
 from crnlocus.cone import _cycle_flux
+from crnlocus.egraph import complete_graph, linkage_classes
 from crnlocus.exactla import combine, dot, subspace_from_span, vec
 from crnlocus.locus import canonical_j0_obasis
 
@@ -25,9 +28,14 @@ from fixture_graphs import g_cyc, g_in, g_k4, g_long_cycle
 from oracles import (
     balance_subspace,
     direct_flux_imbalance,
+    has_positive_kernel_point,
     hat_jr_dimension,
+    local_cone_blocks,
     monolithic_jr_subspace,
+    naive_rref,
+    random_m_vertex_graph,
     random_positive_rational,
+    random_wr_subgraph,
 )
 
 FIXTURE_PAIRS = [
@@ -336,3 +344,56 @@ class TestBalanceSweep:
     def test_small_sweep(self):
         for g in _sweep_graphs(6):
             assert positive_point(balance_subspace(g)).feasible == is_weakly_reversible(g)
+
+
+def _lemma_pair(rng: random.Random, m: int, n: int, den: int, target: str):
+    """A weakly reversible subgraph g1 of the complete graph of a random
+    m-vertex graph g, and a target: g, its complete graph, or another
+    weakly reversible subgraph."""
+    g = random_m_vertex_graph(rng, m, n, den)
+    g1 = random_wr_subgraph(rng, g)
+    return g1, {"g": g, "complete": complete_graph(g), "wr": random_wr_subgraph(rng, g)}[target]
+
+
+def _check_local_lemma(g1, g) -> bool:
+    """The cone of (g1, g) is empty iff some vertex's local block has no
+    positive kernel point, and otherwise its subspace has dimension
+    sum c_v - |V1| + l1; returns whether it is empty."""
+    cone = jr_dimension(g1, g)
+    widths = [len(out) for out in g1.out_edges]
+    blocks = local_cone_blocks(g1, g)
+    empty = not all(has_positive_kernel_point(b, k) for b, k in zip(blocks, widths))
+    assert (cone.status == "empty") == empty, (g1, g)
+    if not empty:
+        local = sum(k - len(naive_rref(b)[1]) for b, k in zip(blocks, widths))
+        lemma = local - g1.num_vertices + len(linkage_classes(g1))
+        assert cone.tilde_dim == lemma, (g1, g)
+    return empty
+
+
+class TestLocalLemma:
+    """The cone decided vertex by vertex, against the report's own
+    decision on the whole system (4 to 6 vertices, 2-D and 3-D, integer
+    and half-integer coordinates)."""
+
+    def test_seeded_pairs(self):
+        rng = random.Random(22)
+        empty = [
+            _check_local_lemma(*_lemma_pair(rng, m, n, den, target))
+            for m in (4, 5, 6)
+            for n, den in ((2, 1), (2, 2), (3, 1), (3, 2))
+            for target in ("g", "complete", "wr")
+            for _ in range(4)
+        ]
+        assert 0 < sum(empty) < len(empty)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(4, 6),
+        n=st.sampled_from((2, 3)),
+        den=st.sampled_from((1, 2)),
+        target=st.sampled_from(("g", "complete", "wr")),
+    )
+    def test_random_pairs(self, seed, m, n, den, target):
+        _check_local_lemma(*_lemma_pair(random.Random(seed), m, n, den, target))

@@ -29,11 +29,10 @@ from crnlocus.cone import (
     positive_point,
     reduced_jr_rows,
 )
-from crnlocus import locus
+from crnlocus import cone, equiv, exactla, locus
 from crnlocus.egraph import complete_graph, edge_subgraph
 from crnlocus.equiv import (
     POWER_MAX_BITS,
-    _local_block,
     balance_rows,
     d0_basis,
     d0_dimension,
@@ -703,27 +702,52 @@ class TestMaskScan:
 
     @pytest.mark.parametrize("name", ["g_k4", "g_cyc", "r11-3d-den1"])
     def test_graphs_only_for_incumbents_and_blocks_once(self, name, monkeypatch):
+        # Outside the incumbents' reports the scan decides every cone vertex
+        # by vertex: one local block and at most one simplex per (vertex,
+        # kept out-edges), no balance rows, no vertex rows embedded in the
+        # edge space, and no elimination wider than max(|V|, n) columns.
         g = SCAN_CONFIGS[name]
-        subgraphs, blocks = [], []
+        subgraphs, blocks, simplexes, eliminations, edge_space = [], [], [], [], []
+        in_report = []
+
+        def reporting(target, sub):
+            in_report.append(sub)
+            try:
+                return pair_lower_bound(target, sub)
+            finally:
+                in_report.pop()
+
+        def counting(module, fname, record):
+            original = getattr(module, fname)
+
+            def counted(*args, **kwargs):
+                if not in_report:
+                    record(args)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, fname, counted)
 
         def counting_subgraph(gc, edges):
             subgraphs.append(tuple(edges))
             return edge_subgraph(gc, edges)
 
-        def counting_block(gc, edges, normals=None):
-            blocks.append((tuple(edges), normals is None))
-            return _local_block(gc, edges, normals)
-
         monkeypatch.setattr(locus, "edge_subgraph", counting_subgraph)
-        monkeypatch.setattr(locus, "_local_block", counting_block)
+        monkeypatch.setattr(locus, "pair_lower_bound", reporting)
+        counting(locus, "_local_block", lambda args: blocks.append(tuple(args[1])))
+        counting(cone, "positive_point", simplexes.append)
+        for module in (exactla, equiv, cone, locus):
+            counting(module, "bareiss", lambda args: eliminations.append(args[1]))
+        for module, fname in ((equiv, "balance_rows"), (cone, "balance_rows"),
+                              (equiv, "vertex_rows"), (cone, "vertex_rows")):
+            counting(module, fname, edge_space.append)
         res = global_lower_bound(g)
         increases, best = 0, None
         for row in res.table:
             if row.applicable and (best is None or row.capped_bound > best):
                 increases, best = increases + 1, row.capped_bound
         assert len(subgraphs) == increases >= 1
-        # One block of each kind per (vertex, kept out-edges) at most.
         m = g.num_vertices
-        assert len(set(blocks)) == len(blocks)
-        for coords in (True, False):
-            assert sum(kind == coords for _, kind in blocks) <= m * 2 ** (m - 1)
+        assert len(set(blocks)) == len(blocks) <= m * 2 ** (m - 1)
+        assert len(simplexes) <= len(blocks)
+        assert eliminations and max(eliminations) <= max(m, g.n)
+        assert edge_space == []
