@@ -59,6 +59,11 @@ def commands() -> list[list[str]]:
     # past four vertices: 5 vertices in 3-D, half-integer, with locally empty
     # and balance-only masks among the first 300
     cmds.append(["--cap", "300", "bound", "--all", _d("scan_5v")])
+    # a 6- and a 7-vertex graph with several linkage classes and edges on no
+    # cycle: subsets and complete graphs on both sides of the vertex count
+    # up to which weak reversibility is tested by cut pairs
+    for g in ("wr_6v", "wr_7v"):
+        cmds += [["--cap", "400", "enumerate-wr", _d(g)], ["--cap", "300", "bound", "--all", _d(g)]]
     cmds += [["bound", _d(g), _d(g1)] for g in GRAPHS for g1 in GRAPHS]
     for g, k in VECTORS:
         cmds += [["check", variant, _d(g), _d(k)] for variant in ("cb-flux", "toric")]
