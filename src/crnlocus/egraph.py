@@ -23,6 +23,9 @@ from .exactla import RationalMatrix, Rat, Vec, rank, vec
 from .jsonutil import compact_dumps, load_json, rational_from_json, rationals_to_json
 
 WR_ENUMERATION_EDGE_LIMIT = 24
+# Cut pairs double per vertex: on K_7 a weakly reversible mask walks its 63 in
+# 4.4 to 7.5 us, against 6.5 to 6.6 us for the closure, and on K_8 it loses.
+CUT_PAIR_VERTEX_LIMIT = 6
 
 
 class GraphValidationError(ValueError):
@@ -109,6 +112,25 @@ class EGraph:
         for idx, (_, t) in enumerate(self.edges):
             inc[t].append(idx)
         return tuple(tuple(o) for o in inc)
+
+    @cached_property
+    def cut_pairs(self) -> tuple[tuple[int, int], ...] | None:
+        """(edges leaving U, edges entering U) as edge bitmasks, one pair for
+        each vertex set U that holds vertex 0 and is not every vertex; None
+        past CUT_PAIR_VERTEX_LIMIT vertices."""
+        m = self.num_vertices
+        if m > CUT_PAIR_VERTEX_LIMIT:
+            return None
+        pairs = []
+        for cut in range(1, (1 << m) - 1, 2):
+            leaving = entering = 0
+            for idx, (s, t) in enumerate(self.edges):
+                if cut >> s & 1 and not cut >> t & 1:
+                    leaving |= 1 << idx
+                elif cut >> t & 1 and not cut >> s & 1:
+                    entering |= 1 << idx
+            pairs.append((leaving, entering))
+        return tuple(pairs)
 
     @cached_property
     def reaction_vectors(self) -> tuple[Vec, ...]:
@@ -255,7 +277,25 @@ def edge_subgraph(g: EGraph, edge_indices: Sequence[int]) -> EGraph:
 
 
 def _mask_is_weakly_reversible(g: EGraph, mask: int) -> bool:
-    """Bitset reachability check for the edge subset given by ``mask``."""
+    """True iff the edge subset F given by ``mask`` is weakly reversible.
+
+    Lemma: F is weakly reversible iff, for every vertex set U, F has an
+    edge leaving U exactly when it has an edge entering U.  (=>) An edge
+    leaving U lies on a cycle of F, and the cycle re-enters U.  (<=) If
+    the edge s->t lies on no cycle, let U be the vertices that reach s:
+    t is not in U, s->t leaves U, and no edge enters U, since its source
+    would reach s.  Swapping U and its complement swaps leaving and
+    entering, so the sets U that hold vertex 0 suffice, and vertices F
+    does not touch change nothing.  Up to CUT_PAIR_VERTEX_LIMIT vertices
+    the test walks ``g.cut_pairs``; past it, it closes reachability over
+    bitsets and asks that every edge s->t have t reach s.
+    """
+    pairs = g.cut_pairs
+    if pairs is not None:
+        for leaving, entering in pairs:
+            if (not mask & leaving) != (not mask & entering):
+                return False
+        return True
     m = g.num_vertices
     reach = [1 << v for v in range(m)]
     sub_edges = []

@@ -1,8 +1,11 @@
+import functools
 import json
 import random
 
 import pytest
 from fractions import Fraction
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crnlocus import (
     EGraph,
@@ -14,13 +17,20 @@ from crnlocus import (
     parse_egraph,
     stoich_dim,
 )
-from crnlocus.egraph import iter_wr_edge_masks, wr_masks_by_size
+from crnlocus.egraph import (
+    CUT_PAIR_VERTEX_LIMIT,
+    _mask_is_weakly_reversible,
+    iter_wr_edge_masks,
+    wr_masks_by_size,
+)
 
 from fixture_graphs import SQUARE, g_cyc, g_in, g_k4, g_long_cycle, g_two_classes
 from oracles import (
+    _mask_wr_by_reachability,
     brute_wr_edge_masks,
     brute_wr_masks_up_to_size,
     enumerate_wr_subgraphs,
+    random_m_vertex_graph,
     random_small_egraph,
     reachability_weakly_reversible,
 )
@@ -249,6 +259,11 @@ class TestEnumerateWR:
 
         rng = random.Random(20242)
         graphs = [g_k4(), g_cyc()] + [random_small_egraph(rng, max_vertices=5) for _ in range(40)]
+        # 6 to 8 vertices, at most 14 edges: both sides of the cut-pair limit
+        for m in (6, 7, 8):
+            drawn = [random_m_vertex_graph(rng, m, 2) for _ in range(8)]
+            graphs += [g for g in drawn if g.num_edges <= 14][:4]
+        assert {g.cut_pairs is None for g in graphs} == {False, True}
         for g in graphs:
             expected = by_size(brute_wr_edge_masks(g))
             assert list(wr_masks_by_size(g)) == expected
@@ -267,6 +282,54 @@ class TestEnumerateWR:
         expected = brute_wr_masks_up_to_size(big, 3)
         assert len(expected) == 15 + 2 * 20
         assert list(wr_masks_by_size(big, cap=len(expected))) == expected
+
+
+@functools.cache
+def _complete_on_line(m: int) -> EGraph:
+    """The complete graph on the points 0, ..., m-1 of Q^1."""
+    return complete_graph(EGraph(1, [(i,) for i in range(m)], [(i, (i + 1) % m) for i in range(m)]))
+
+
+@st.composite
+def complete_graph_masks(draw, sizes: range):
+    """K_m for m in ``sizes``, with a mask of up to 2m random edges, or a
+    union of 1 to 3 random cycles (weakly reversible), or such a union and
+    one more random edge (often not)."""
+    g = _complete_on_line(draw(st.sampled_from(sizes)))
+    m, edge = g.num_vertices, st.integers(0, g.num_edges - 1)
+    kind = draw(st.sampled_from(["edges", "cycles", "cycles and an edge"]))
+    if kind == "edges":
+        return g, sum({1 << ei for ei in draw(st.lists(edge, max_size=2 * m))})
+    mask = 0
+    for _ in range(draw(st.integers(1, 3))):
+        cycle = draw(st.permutations(range(m)))[: draw(st.integers(2, m))]
+        for e in zip(cycle, cycle[1:] + cycle[:1]):
+            mask |= 1 << g.edges.index(e)
+    if kind == "cycles and an edge":
+        mask |= 1 << draw(edge)
+    return g, mask
+
+
+class TestMaskWeakReversibility:
+    """The per-mask test takes the cut pairs up to CUT_PAIR_VERTEX_LIMIT
+    vertices and the bitset closure past it; each path meets the oracle."""
+
+    @pytest.mark.parametrize(
+        "sizes",
+        [range(2, CUT_PAIR_VERTEX_LIMIT + 1), range(CUT_PAIR_VERTEX_LIMIT + 1, 10)],
+        ids=["cut_pairs", "closure"],
+    )
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_reachability_oracle(self, sizes, data):
+        g, mask = data.draw(complete_graph_masks(sizes))
+        assert (g.cut_pairs is None) == (g.num_vertices > CUT_PAIR_VERTEX_LIMIT)
+        assert _mask_is_weakly_reversible(g, mask) == _mask_wr_by_reachability(g, mask)
+
+    def test_cut_pairs_of_a_cycle(self):
+        # 0 -> 1 -> 2 -> 0: U = {0} and U = {0, 1} are cut once each way
+        g = EGraph(1, [(0,), (1,), (2,)], [(0, 1), (1, 2), (2, 0)])
+        assert g.cut_pairs == ((0b001, 0b100), (0b010, 0b100), (0b001, 0b010))
 
 
 class TestStoichDim:
