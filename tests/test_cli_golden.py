@@ -42,6 +42,18 @@ VECTORS = [
     ("line", "line_uniform1"),
 ]
 
+PAIRS = [
+    "balance_3d",
+    "balance_half",
+    "row_3d",
+    "row_3d_half",
+    "simplex_empty_half",
+    "simplex_empty_3d_half",
+    "simplex_nonempty_3d",
+    "simplex_nonempty_3d_half",
+    "simplex_nonempty_half",
+]
+
 
 def _d(name: str) -> str:
     return f"tests/data/{name}.json"
@@ -65,6 +77,11 @@ def commands() -> list[list[str]]:
     for g in ("wr_6v", "wr_7v"):
         cmds += [["--cap", "400", "enumerate-wr", _d(g)], ["--cap", "300", "bound", "--all", _d(g)]]
     cmds += [["bound", _d(g), _d(g1)] for g in GRAPHS for g1 in GRAPHS]
+    # pairs drawn from seeded random graphs, in 3-D and with half-integer
+    # coordinates: cones cut by balance rows alone, empty with a
+    # sign-definite constraint row, empty without one, and nonempty with
+    # constraints past balance
+    cmds += [["bound", _d(f"pairs/{p}_g"), _d(f"pairs/{p}_g1")] for p in PAIRS]
     for g, k in VECTORS:
         cmds += [["check", variant, _d(g), _d(k)] for variant in ("cb-flux", "toric")]
     cmds += [
