@@ -3,29 +3,34 @@
 For a weakly reversible graph g1 and a target graph g, the cone of
 interest is the set of strictly positive, per-vertex-balanced fluxes on
 g1 whose vector field is expressible on g with sign-unrestricted
-weights.  That cone is the intersection of a linear subspace (assembled
-here row by row) with the open positive orthant, so its dimension is
-the subspace dimension when a strictly positive point exists and zero
-otherwise.
+weights.  That cone is the intersection of a linear subspace J~R with
+the open positive orthant, so its dimension is the subspace dimension
+when a strictly positive point exists and zero otherwise.
+
+J~R is built as J0 is: J0 is D0, the sum of the vertices' local
+kernels, restricted to flux balance, and J~R is the sum of the kernels
+L_v of the vertices' cone rows restricted to balance (both sums come
+from ``equiv.vertex_kernels``).  The cone rows of v touch only its
+out-edges: their dot products with the normals of g's outgoing span at
+v, or their coordinates where g has no out-edges at v.
 
 The cone factors by vertex (the Matrix-Tree argument of Craciun,
-Dickenstein, Shiu and Sturmfels, "Toric dynamical systems", 2009).  Let
-L_v be the kernel of v's vertex rows, which touch only v's out-edges.
-The cone is nonempty iff every L_v holds a positive vector, and then
-its subspace has dimension sum dim L_v - |V1| + l1, for l1 linkage
+Dickenstein, Shiu and Sturmfels, "Toric dynamical systems", 2009).  The
+cone is nonempty iff every L_v holds a positive vector, and then its
+subspace has dimension sum dim L_v - |V1| + l1, for l1 linkage
 classes.  Proof: positive kappa_v in each L_v are the rates of a Markov
 chain on g1, whose strongly connected classes have positive stationary
 pi, so j_e = pi_s kappa_e is positive, balanced and in every L_v.  The
 balance map sends the sum of the L_v into the vectors that sum to zero
 on each class, of dimension |V1| - l1, and the generator rows B kappa_v
 already span that.  The converse holds as the vertex rows are
-block-diagonal by source vertex.  So the scan of ``bound --all`` runs
-``cone_dimension`` on one vertex's rows at a time.
+block-diagonal by source vertex.
 
-``cone_dimension`` and the report (``jr_dimension``) decide a system in
-one order, from the rows of one integer elimination; the simplex pivots
-on the canonical reduced echelon basis of its kernel, and every
-certificate is checked nonnegative, nonzero and orthogonal to it.
+So one per-vertex decision, ``cone_dimension``, serves the scan of
+``bound --all`` and the report (``jr_dimension``), and an emptiness
+certificate is local: supported on one vertex's out-edges, and checked
+nonnegative, nonzero and orthogonal to the canonical basis of J~R, on
+which the simplex pivots for a witness.
 """
 
 from __future__ import annotations
@@ -37,10 +42,12 @@ from typing import Sequence
 from .egraph import EGraph, NotWeaklyReversibleError, bfs, is_weakly_reversible, linkage_classes
 from .equiv import (
     EdgeVector,
+    _local_block,
     balance_rows,
     realize_with_diagnostic,
+    restrict_to_kernel,
     vertex_imbalance,
-    vertex_rows,
+    vertex_kernels,
 )
 from .exactla import (
     RationalMatrix,
@@ -209,20 +216,6 @@ def out_span_normals(g: EGraph) -> dict[Vec, list[list[int]]]:
     return out
 
 
-def reduced_jr_rows(
-    vertex: list[list[int]], balance: list[list[int]], nedges: int
-) -> tuple[list[list[int]], bool]:
-    """Integer constraint rows of a cone subspace over ``nedges`` edges, the
-    vertex rows (``vertex_rows`` with normals) stacked on the balance rows
-    and reduced in place to fraction-free reduced echelon form, zero rows
-    dropped, plus the balance-only flag.  The kernel of the rows is the
-    cone subspace, so its dimension is ``nedges`` minus the row count.
-    """
-    rows = vertex + balance
-    del rows[len(bareiss(rows, nedges, reduced=True)[0]) :]
-    return rows, not vertex
-
-
 def farkas_row(rows: Sequence[Sequence[int]]) -> Sequence[int] | None:
     """A nonzero row with every entry >= 0, or every entry <= 0, if any.
 
@@ -232,36 +225,35 @@ def farkas_row(rows: Sequence[Sequence[int]]) -> Sequence[int] | None:
     return next((r for r in rows if any(r) and (min(r) >= 0 or max(r) <= 0)), None)
 
 
-def _cone_basis(rows: list[list[int]], nedges: int) -> Subspace:
-    """The kernel of ``rows`` as its canonical reduced echelon Subspace,
-    from one elimination: the one basis the simplex pivots on, in a vertex
-    block of the scan and in the report, built only where a sign-definite
-    row or the simplex decides the cone."""
-    return kernel_basis(RationalMatrix.from_rows(rows, cols=nedges))
+def cone_dimension(rows: list[list[int]], nedges: int) -> tuple[int, Vec | None]:
+    """One vertex's local cone, the kernel of the integer ``rows`` over its
+    ``nedges`` out-edges: the kernel's dimension, and None when the kernel
+    holds a strictly positive point, else a certificate of emptiness.
+
+    The rows are reduced in place.  A sign-definite row, in absolute value,
+    is the certificate; otherwise, if any row is left, the exact simplex
+    runs on the canonical basis of the kernel, which is built only then.
+    """
+    del rows[len(bareiss(rows, nedges, reduced=True)[0]) :]
+    row = farkas_row(rows)
+    if row is not None:
+        return nedges - len(rows), vec(map(abs, row))
+    if not rows:
+        return nedges, None
+    basis = kernel_basis(RationalMatrix.from_rows(rows, cols=nedges))
+    return basis.dim, positive_point(basis).certificate
 
 
-def cone_dimension(vertex: list[list[int]], balance: list[list[int]], nedges: int) -> int | None:
-    """Dimension of the cone whose rows ``reduced_jr_rows`` reduces, or None
-    when it is empty: the decision of ``jr_dimension``, in its order, with
-    no witness or certificate, so with no basis unless the simplex runs."""
-    rows, balance_only = reduced_jr_rows(vertex, balance, nedges)
-    if balance_only or (
-        farkas_row(rows) is None and positive_point(_cone_basis(rows, nedges)).feasible
-    ):
-        return nedges - len(rows)
-    return None
-
-
-def _cone_rows(g1: EGraph, g: EGraph) -> tuple[list[list[int]], bool]:
-    """``reduced_jr_rows`` of the pair, once g1 is checked weakly reversible
-    and then in g's ambient space."""
+def _pair_normals(g1: EGraph, g: EGraph) -> dict[Vec, list[list[int]]]:
+    """``out_span_normals(g)``, once g1 is checked weakly reversible and then
+    in g's ambient space."""
     if not is_weakly_reversible(g1):
         raise NotWeaklyReversibleError(
             "the realization-source graph must be weakly reversible; "
             "a non-weakly-reversible graph admits no positive balanced flux"
         )
     g.check_same_ambient(g1)
-    return reduced_jr_rows(vertex_rows(g1, out_span_normals(g)), balance_rows(g1), g1.num_edges)
+    return out_span_normals(g)
 
 
 def jr_subspace(g1: EGraph, g: EGraph) -> Subspace:
@@ -271,7 +263,7 @@ def jr_subspace(g1: EGraph, g: EGraph) -> Subspace:
     to the span of g's outgoing directions at shared vertices; per-vertex
     flux balance everywhere on g1.
     """
-    return _cone_basis(_cone_rows(g1, g)[0], g1.num_edges)
+    return restrict_to_kernel(vertex_kernels(g1, _pair_normals(g1, g)), balance_rows(g1))
 
 
 def _cycle_flux(g1: EGraph) -> EdgeVector:
@@ -346,27 +338,35 @@ def is_member_jr(g1: EGraph, g: EGraph, j: EdgeVector) -> bool:
 def jr_dimension(g1: EGraph, g: EGraph) -> ConeResult:
     """ConeResult for the pair: dimension plus a verified witness or certificate.
 
-    A balance-only system, nonempty as g1 is weakly reversible, takes the
-    cycle flux as its witness, checked against the integer rows, and
-    builds no basis; otherwise a
-    sign-definite row, in absolute value, certifies emptiness, and the
-    exact simplex decides the rest, both on the canonical basis.  Every
-    witness is re-verified by the membership test before it is reported.
+    With no cone rows at any vertex the cone is cut by balance alone:
+    nonempty as g1 is weakly reversible, of dimension |E1| - |V1| + l1,
+    with the cycle flux as its witness and no basis.  Otherwise the
+    first vertex whose local cone is empty gives the certificate,
+    checked against the canonical basis, and when every vertex passes
+    the exact simplex on that basis gives the witness.  Every witness is
+    re-verified by the membership test before it is reported.
     """
-    rows, balance_only = _cone_rows(g1, g)
-    tilde_dim = g1.num_edges - len(rows)
-    if balance_only:
+    normals_at = _pair_normals(g1, g)
+    blocks = [
+        (out, _local_block(g1, out, normals_at.get(v))) for v, out in zip(g1.vertices, g1.out_edges)
+    ]
+    if not any(rows for _, rows in blocks):
         witness = _cycle_flux(g1)
-        if any(sum(c * v for c, v in zip(r, witness.values) if c) for r in rows):
+        if any(vertex_imbalance(g1, witness.values)):
             raise RuntimeError("cycle flux fell outside the balance kernel")
+        tilde_dim = g1.num_edges - g1.num_vertices + len(linkage_classes(g1))
     else:
-        tilde = _cone_basis(rows, g1.num_edges)
-        row = farkas_row(rows)
-        res = positive_point(tilde) if row is None else _certified_empty(vec(map(abs, row)), tilde)
+        tilde = restrict_to_kernel(vertex_kernels(g1, normals_at), balance_rows(g1))
+        tilde_dim = tilde.dim
+        for out, rows in blocks:
+            local = cone_dimension(rows, len(out))[1]
+            if local is not None:
+                at = dict(zip(out, local))
+                cert = _certified_empty(vec(at.get(e, 0) for e in range(g1.num_edges)), tilde)
+                return ConeResult(tilde_dim, "empty", 0, certificate=cert.certificate)
+        res = positive_point(tilde)
         if not res.feasible:
-            return ConeResult(
-                tilde_dim=tilde_dim, status="empty", dim=0, certificate=res.certificate
-            )
+            raise RuntimeError("the simplex found the cone empty, against the per-vertex lemma")
         witness = EdgeVector(g1, res.point)
     if not is_member_jr(g1, g, witness):
         raise RuntimeError("cone witness failed the membership re-check")

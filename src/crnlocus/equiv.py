@@ -219,8 +219,8 @@ def _local_block(
     g: EGraph, edges: Sequence[int], normals: Sequence[Sequence[Rat]] | None = None
 ) -> list[list[int]]:
     """The nonzero local rows over ``edges``, each scaled to integers by its
-    own denominators: scaling a row keeps the row space, scaling a column
-    would not once the balance rows are stacked below."""
+    own denominators: scaling a row keeps the row space, and so the local
+    kernel, where scaling a column would rescale the kernel's vectors."""
     return [row for row in integer_rows(_local_rows(g, edges, normals)) if any(row)]
 
 
@@ -240,27 +240,6 @@ def _local_d0_image(g: EGraph, edges: Sequence[int]) -> list[list[int]]:
     return integer_rows(images)
 
 
-def vertex_rows(
-    g: EGraph, normals_at: Mapping[Vec, Sequence[Sequence[Rat]]] | None = None
-) -> list[list[int]]:
-    """The local blocks of every vertex, embedded in the edge space of g.
-
-    At a vertex whose coordinates key ``normals_at`` the rows are dot
-    products with those normals, elsewhere the reaction-vector
-    coordinates.  The kernel of the rows alone is D0(g); with the balance
-    rows added it is J0(g), or with normals the cone subspace.
-    """
-    rows = []
-    for vi, out in enumerate(g.out_edges):
-        normals = normals_at.get(g.vertices[vi]) if normals_at else None
-        for local in _local_block(g, out, normals):
-            row = [0] * g.num_edges
-            for ei, x in zip(out, local):
-                row[ei] = x
-            rows.append(row)
-    return rows
-
-
 def d0_dimension(g: EGraph) -> int:
     """dim D0(g) from integer ranks: the system is block-diagonal by source
     vertex, so it is the sum of |out(v)| - rank of the out-directions at v."""
@@ -272,29 +251,44 @@ def d0_dimension(g: EGraph) -> int:
 
 
 def j0_dimension(g: EGraph) -> int:
-    """dim J0(g) = |E| - rank of the stacked vertex and balance rows."""
-    return g.num_edges - len(bareiss(vertex_rows(g) + balance_rows(g), g.num_edges)[0])
+    """dim J0(g) from integer ranks: J0 is D0 restricted to balance, and D0
+    is the sum of the local D0s, so it is the sum of their dimensions minus
+    the rank of their images under the balance map."""
+    images = [row for out in g.out_edges if out for row in _local_d0_image(g, out)]
+    return len(images) - len(bareiss(images, g.num_vertices)[0])
 
 
-def d0_basis(g: EGraph) -> Subspace:
-    """Canonical basis of D0(g): weightings with zero net vector at every vertex.
+def vertex_kernels(
+    g: EGraph, normals_at: Mapping[Vec, Sequence[Sequence[Rat]]] | None = None
+) -> Subspace:
+    """The sum of the local kernels of g's vertices, as its canonical basis.
 
-    The defining system is block-diagonal by source vertex, and a vertex's
-    out-edges ascend, so the reduced echelon bases of the local kernels,
-    embedded at the out-edges and ordered by pivot column, are the reduced
-    echelon basis of D0.
+    A vertex's local rows are the reaction-vector coordinates of its
+    out-edges, or, at a vertex whose coordinates key ``normals_at``, their
+    dot products with those normals.  With no normals the sum is D0(g);
+    with the out-span normals of a target graph it is the sum of the
+    local cones' subspaces L_v.  The system is block-diagonal by source
+    vertex, and a vertex's out-edges ascend, so the reduced echelon bases
+    of the local kernels, embedded at the out-edges and ordered by pivot
+    column, are the reduced echelon basis of the sum.
     """
     by_pivot: list[tuple[int, Vec]] = []
-    for out in g.out_edges:
+    for coords, out in zip(g.vertices, g.out_edges):
         if not out:
             continue
-        local = kernel_basis(RationalMatrix.from_rows(_local_rows(g, out), cols=len(out)))
-        for kv in local.basis:
+        normals = normals_at.get(coords) if normals_at else None
+        rows = _local_rows(g, out, normals)
+        for kv in kernel_basis(RationalMatrix.from_rows(rows, cols=len(out))).basis:
             v = [_ZERO] * g.num_edges
             for ei, x in zip(out, kv):
                 v[ei] = x
             by_pivot.append((next(ei for ei, x in zip(out, kv) if x), tuple(v)))
     return Subspace(g.num_edges, tuple(v for _, v in sorted(by_pivot)))
+
+
+def d0_basis(g: EGraph) -> Subspace:
+    """Canonical basis of D0(g): weightings with zero net vector at every vertex."""
+    return vertex_kernels(g)
 
 
 def restrict_to_kernel(sub: Subspace, constraints: Sequence[Sequence[int]]) -> Subspace:

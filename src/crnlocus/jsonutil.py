@@ -93,11 +93,16 @@ def rationals_from_json(values: Any, where: str = "values") -> tuple[Fraction, .
 
 def load_json(text: str) -> Any:
     """``json.loads``, reporting nesting deeper than the parser's recursion
-    limit as malformed input (a ValueError) rather than a RecursionError."""
+    limit as malformed input (a ValueError) rather than a RecursionError,
+    and a number past the interpreter's digit limit with the remedy."""
     try:
         return json.loads(text)
     except RecursionError as e:
         raise ValueError("malformed JSON: nesting exceeds the parser's depth limit") from e
+    except json.JSONDecodeError:
+        raise
+    except ValueError as e:  # an integer past sys.get_int_max_str_digits()
+        raise ValueError("a JSON number has too many digits; give it as a string of digits") from e
 
 
 def compact_dumps(obj: Any) -> str:

@@ -361,8 +361,8 @@ def _vertex_terms(gc: EGraph, vi: int, kept: int, normals: list[list[int]] | Non
     local D0 pushed through the balance map, its reaction rows reduced to
     a basis, and the bits of ``vi`` and its heads."""
     out = [ei for ei in gc.out_edges[vi] if kept >> ei & 1]
-    cone_dim = cone_dimension(_local_block(gc, out, normals), [], len(out))
-    if cone_dim is None:
+    cone_dim, certificate = cone_dimension(_local_block(gc, out, normals), len(out))
+    if certificate is not None:
         return None
     reaction = integer_rows(gc.reaction_vectors[ei] for ei in out)
     del reaction[len(bareiss(reaction, gc.n)[0]) :]

@@ -37,7 +37,6 @@ from crnlocus import (
     positive_point,
     subspace_from_span,
 )
-from crnlocus.cone import cone_dimension, out_span_normals
 from crnlocus.egraph import (
     check_enumerable,
     complete_graph,
@@ -55,7 +54,6 @@ from crnlocus.equiv import (
     mass_action_field,
     state_power,
     vertex_imbalance,
-    vertex_rows,
 )
 from crnlocus.locus import GlobalBoundResult, SubgraphBoundRow, pair_lower_bound
 from crnlocus.exactla import Vec, dot, vec
@@ -271,12 +269,11 @@ def basis_pair_terms(g: EGraph, g1: EGraph) -> tuple:
 def per_subgraph_global_bound(g: EGraph, cap: int | None = None) -> GlobalBoundResult:
     """``global_lower_bound`` with a graph per mask: every weakly reversible
     subgraph of the complete graph becomes an ``edge_subgraph``, and its
-    terms come from its own ``vertex_rows``, ``cone_dimension``,
+    terms come from ``positive_point`` on its ``monolithic_jr_subspace``,
     ``stoich_dim`` and ``j0_dimension``."""
     m = g.num_vertices
     check_enumerable(m * (m - 1), cap)
     gc = complete_graph(g)
-    normals_at = out_span_normals(g)
     dim_d0 = d0_dimension(g)
     best = best_mask = best_sub = None
     rows = []
@@ -289,10 +286,11 @@ def per_subgraph_global_bound(g: EGraph, cap: int | None = None) -> GlobalBoundR
             break
         sub = edge_subgraph(gc, [i for i in range(gc.num_edges) if mask >> i & 1])
         examined += 1
-        dim_jr = cone_dimension(vertex_rows(sub, normals_at), balance_rows(sub), sub.num_edges)
-        if dim_jr is None:
+        cone = monolithic_jr_subspace(sub, g)
+        if not positive_point(cone).feasible:
             rows.append(SubgraphBoundRow(mask, sub.num_edges, False, None, None, None))
             continue
+        dim_jr = cone.dim
         raw = dim_jr + stoich_dim(sub) + dim_d0 - j0_dimension(sub)
         capped = min(raw, target)
         rows.append(SubgraphBoundRow(mask, sub.num_edges, True, dim_jr, raw, capped))

@@ -541,6 +541,40 @@ class TestDeepJson:
         assert "nesting exceeds the parser's depth limit" in err
 
 
+class TestLongJsonNumbers:
+    """A JSON number past the interpreter's digit limit is refused with the
+    remedy, to give it as a string of digits, not with the interpreter's
+    advice to raise the limit."""
+
+    BIG = "1" + "0" * 5000
+
+    def _write(self, tmp_path, doc):
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(doc).replace('"BIG"', self.BIG))
+        return path
+
+    def _check(self, capsys, *argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert "too many digits; give it as a string of digits" in err, err
+        assert "set_int_max_str_digits" not in err
+
+    def test_graph_file(self, capsys, tmp_path):
+        doc = {"n": 1, "vertices": [[0], ["BIG"]], "edges": [[0, 1], [1, 0]]}
+        self._check(capsys, "analyze", self._write(tmp_path, doc))
+
+    def test_vector_file(self, capsys, tmp_path):
+        doc = json.loads((DATA / "cyc_uniform1.json").read_text())
+        doc["values"][0] = "BIG"
+        self._check(capsys, "check", "cb-flux", DATA / "g_cyc.json", self._write(tmp_path, doc))
+
+    def test_psi_input_file(self, capsys, tmp_path):
+        doc = json.loads((DATA / "psi_forward_in.json").read_text())
+        doc["x"][0] = "BIG"
+        path = self._write(tmp_path, doc)
+        self._check(capsys, "psi", "forward", DATA / "g_k4.json", DATA / "g_in.json", path)
+
+
 def test_runs_without_numpy(tmp_path):
     # an approximate toric witness (it needs sqrt 2) and a Birch point by
     # Newton, in interpreters where importing numpy fails

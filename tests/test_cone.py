@@ -1,6 +1,8 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from crnlocus import (
     EGraph,
     EdgeVector,
     NotWeaklyReversibleError,
+    PositivityResult,
     Subspace,
     is_complex_balanced_flux,
     is_member_jr,
@@ -20,7 +23,7 @@ from crnlocus import (
 )
 from crnlocus import cone
 from crnlocus.cone import _cycle_flux
-from crnlocus.egraph import complete_graph, linkage_classes
+from crnlocus.egraph import complete_graph, linkage_classes, parse_egraph
 from crnlocus.exactla import combine, dot, subspace_from_span, vec
 from crnlocus.locus import canonical_j0_obasis
 
@@ -33,6 +36,7 @@ from oracles import (
     local_cone_blocks,
     monolithic_jr_subspace,
     naive_rref,
+    random_four_vertex_graph,
     random_m_vertex_graph,
     random_positive_rational,
     random_wr_subgraph,
@@ -178,7 +182,8 @@ class TestJrDimension:
         def no_basis(*args):
             raise AssertionError("a balance-only cone built a basis")
 
-        monkeypatch.setattr(cone, "_cone_basis", no_basis)
+        monkeypatch.setattr(cone, "vertex_kernels", no_basis)
+        monkeypatch.setattr(cone, "restrict_to_kernel", no_basis)
         for g1, g in [(g_k4(), g_k4()), (g_long_cycle(50), g_long_cycle(50))]:
             res = jr_dimension(g1, g)
             assert res.status == "nonempty" and res.dim == res.tilde_dim
@@ -397,3 +402,94 @@ class TestLocalLemma:
     )
     def test_random_pairs(self, seed, m, n, den, target):
         _check_local_lemma(*_lemma_pair(random.Random(seed), m, n, den, target))
+
+
+PAIR_DATA = Path(__file__).resolve().parent / "data" / "pairs"
+
+
+def _golden_pairs():
+    """The (g1, g) pairs of the pair goldens: cones cut by balance alone,
+    empty with and without a sign-definite constraint row, and nonempty
+    with constraints past balance."""
+    pairs = []
+    for path in sorted(PAIR_DATA.glob("*_g1.json")):
+        g = parse_egraph(path.with_name(path.name.replace("_g1", "_g")).read_text())
+        pairs.append((parse_egraph(path.read_text()), g))
+    return pairs
+
+
+def _report_pair(rng: random.Random, n: int, den: int, target: str):
+    """A weakly reversible subgraph g1 of the complete graph of a random
+    4-vertex graph g, and a target: g, its complete graph, or another
+    weakly reversible subgraph."""
+    g = random_four_vertex_graph(rng, n, den)
+    g1 = random_wr_subgraph(rng, g)
+    return g1, {"g": g, "complete": complete_graph(g), "wr": random_wr_subgraph(rng, g)}[target]
+
+
+def _check_against_monolithic(g1, g) -> str:
+    """The report's cone against O, the monolithic cone subspace: the
+    simplex on O gives the same status, O the same tilde_dim, and the same
+    witness wherever a vertex has cone rows; an emptiness certificate lies
+    on one vertex's out-edges and is nonnegative, nonzero and orthogonal
+    to O.  Returns "balance", "nonempty" or "empty"."""
+    res = jr_dimension(g1, g)
+    oracle = monolithic_jr_subspace(g1, g)
+    lp = positive_point(oracle)
+    assert (res.status == "nonempty") == lp.feasible, (g1, g)
+    assert res.tilde_dim == oracle.dim, (g1, g)
+    if not lp.feasible:
+        cert = res.certificate
+        support = {ei for ei, c in enumerate(cert) if c}
+        assert support and all(c >= 0 for c in cert), (g1, g)
+        assert any(support <= set(out) for out in g1.out_edges), (g1, g)
+        assert not any(dot(cert, b) for b in oracle.basis), (g1, g)
+        return "empty"
+    if not any(any(row) for block in local_cone_blocks(g1, g) for row in block):
+        return "balance"
+    assert res.witness.values == lp.point, (g1, g)
+    return "nonempty"
+
+
+class TestReportAgainstMonolithic:
+    """``jr_dimension``, decided vertex by vertex, against the simplex on the
+    monolithic cone subspace (2-D and 3-D, integer and half-integer
+    coordinates)."""
+
+    def test_seeded_pairs(self):
+        pairs = [(g1, g) for _, g1, g, _ in FIXTURE_PAIRS] + [empty_pair()] + _golden_pairs()
+        rng = random.Random(25)
+        pairs += [
+            _report_pair(rng, n, den, target)
+            for n, den in ((2, 1), (2, 2), (3, 1), (3, 2))
+            for target in ("g", "complete", "wr")
+            for _ in range(6)
+        ]
+        kinds = Counter(_check_against_monolithic(g1, g) for g1, g in pairs)
+        assert min(kinds[k] for k in ("balance", "nonempty", "empty")) >= 5, kinds
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.sampled_from((2, 3)),
+        den=st.sampled_from((1, 2)),
+        target=st.sampled_from(("g", "complete", "wr")),
+    )
+    def test_random_pairs(self, seed, n, den, target):
+        _check_against_monolithic(*_report_pair(random.Random(seed), n, den, target))
+
+    def test_simplex_disagreeing_with_every_vertex_raises(self, monkeypatch):
+        # Every vertex of g_k4 holds a positive local point against g_in, so
+        # a simplex on the cone subspace that reports it empty contradicts
+        # the per-vertex lemma.
+        g1, g = g_k4(), g_in()
+        original = cone.positive_point
+
+        def empty_on_the_edge_space(s):
+            if s.ambient == g1.num_edges:
+                return PositivityResult(feasible=False)
+            return original(s)
+
+        monkeypatch.setattr(cone, "positive_point", empty_on_the_edge_space)
+        with pytest.raises(RuntimeError, match="cone empty, against the per-vertex lemma"):
+            jr_dimension(g1, g)

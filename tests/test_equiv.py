@@ -251,12 +251,17 @@ class TestOneEliminationPerBasis:
     off in reduced echelon form, with no second reduction of the span."""
 
     def test_cone_basis(self, bareiss_calls):
+        # One elimination per local kernel, as for D0, and one to restrict
+        # their sum to balance, as for J0.
         for g1, g in [(g_k4(), g_in()), (g_k4(), g_cyc()), (g_cyc(), g_in())]:
-            vertex = equiv.vertex_rows(g1, cone.out_span_normals(g))
-            rows, _ = cone.reduced_jr_rows(vertex, balance_rows(g1), g1.num_edges)
+            normals_at = cone.out_span_normals(g)
             before = len(bareiss_calls)
-            cone._cone_basis(rows, g1.num_edges)
+            local = equiv.vertex_kernels(g1, normals_at)
+            assert len(bareiss_calls) - before == sum(1 for out in g1.out_edges if out)
+            before = len(bareiss_calls)
+            tilde = equiv.restrict_to_kernel(local, balance_rows(g1))
             assert len(bareiss_calls) - before == 1
+            assert tilde == cone.jr_subspace(g1, g)
 
     def test_restrict_to_kernel(self, bareiss_calls):
         rng = random.Random(19)

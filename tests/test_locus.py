@@ -27,20 +27,18 @@ from crnlocus.cone import (
     membership_failure,
     out_span_normals,
     positive_point,
-    reduced_jr_rows,
 )
 from crnlocus import cone, equiv, exactla, locus
-from crnlocus.egraph import complete_graph, edge_subgraph
+from crnlocus.egraph import complete_graph, edge_subgraph, linkage_classes
 from crnlocus.equiv import (
     POWER_MAX_BITS,
-    balance_rows,
+    _local_block,
     d0_basis,
     d0_dimension,
     j0_basis,
     j0_dimension,
-    vertex_rows,
 )
-from crnlocus.exactla import combine, coords_in_basis, dot, vec
+from crnlocus.exactla import bareiss, combine, coords_in_basis, dot, vec
 from crnlocus.locus import PsiDomainError
 
 from capped import run_capped
@@ -625,40 +623,37 @@ class TestIntegerScan:
     @pytest.mark.parametrize("name", SCAN_CONFIGS)
     def test_sign_rule_only_rejects_infeasible_cones(self, name):
         g = SCAN_CONFIGS[name]
-        normals_at = out_span_normals(g)
         for row in _scan(name)[1]:
             sub = _subgraph(g, row.mask)
-            vertex = vertex_rows(sub, normals_at)
-            rows, _ = reduced_jr_rows(vertex, balance_rows(sub), sub.num_edges)
-            if farkas_row(rows) is not None:
+            if any(farkas_row(rows) is not None for _, rows in _reduced_blocks(sub, g)):
                 assert not positive_point(jr_subspace(sub, g)).feasible, row
 
     def test_sign_rule_certifies_empty_pair(self):
         from test_cone import empty_pair
 
         g1, g = empty_pair()
-        normals_at = out_span_normals(g)
-        vertex = vertex_rows(g1, normals_at)
-        rows, balance_only = reduced_jr_rows(vertex, balance_rows(g1), g1.num_edges)
-        assert not balance_only and farkas_row(rows) is not None
-        assert cone_dimension(vertex_rows(g1, normals_at), balance_rows(g1), g1.num_edges) is None
+        blocks = _reduced_blocks(g1, g)
+        assert any(rows for _, rows in blocks)
+        signed = [(out, rows) for out, rows in blocks if farkas_row(rows) is not None]
+        assert signed
+        for out, rows in signed:
+            assert cone_dimension(rows, len(out))[1] is not None
+        assert jr_dimension(g1, g).status == "empty"
 
     def test_non_integer_rows_scaled_per_row(self):
         # Scaling each reaction vector to integers, rather than each row,
-        # rescales the columns of the coordinate rows but not of the balance
-        # rows, which raises the rank of this J0 system from 7 to 8.
+        # rescales the columns of a vertex's rows; stacked on the balance
+        # rows, that raises the rank of this J0 system from 7 to 8.
         h = Fraction(1, 2)
         g = EGraph(2, [(-1, -3 * h), (0, -3 * h), (3 * h, 1), (3 * h, 3 * h)],
                    [(0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 0)])
         g1 = EGraph(2, g.vertices, [(0, 1), (0, 2), (0, 3), (1, 0), (1, 2), (1, 3), (2, 1), (3, 0)])
         assert j0_dimension(g1) == j0_basis(g1).dim == g1.num_edges - 7
         for target in (g, g1, g_k4()):
-            normals_at = out_span_normals(target)
-            vertex = vertex_rows(g1, normals_at)
-            assert (
-                cone_dimension(vertex, balance_rows(g1), g1.num_edges)
-                == basis_pair_terms(target, g1)[1]
-            )
+            local = [cone_dimension(rows, len(out)) for out, rows in _reduced_blocks(g1, target)]
+            lemma = sum(dim for dim, _ in local) - g1.num_vertices + len(linkage_classes(g1))
+            decided = None if any(cert is not None for _, cert in local) else lemma
+            assert decided == basis_pair_terms(target, g1)[1]
             assert d0_dimension(target) == d0_basis(target).dim
         # The scan builds its own blocks: against the complete graph it
         # reaches g1's mask, and its raw bound there needs dim J0 = 1.
@@ -670,6 +665,19 @@ class TestIntegerScan:
         assert (row.applicable, row.dim_jr, row.raw_bound) == (
             applicable, dim_jr, dim_jr + dim_s + dim_d0 - dim_j0
         )
+
+
+def _reduced_blocks(g1, g):
+    """Per vertex of g1 with out-edges: its out-edges, and its local cone
+    rows against g reduced as the per-vertex decision reduces them."""
+    normals_at = out_span_normals(g)
+    blocks = []
+    for v, out in zip(g1.vertices, g1.out_edges):
+        if out:
+            rows = _local_block(g1, out, normals_at.get(v))
+            del rows[len(bareiss(rows, len(out), reduced=True)[0]) :]
+            blocks.append((out, rows))
+    return blocks
 
 
 # Caps for the cross-check against the per-subgraph scan: none, zero, one,
@@ -738,7 +746,7 @@ class TestMaskScan:
         for module in (exactla, equiv, cone, locus):
             counting(module, "bareiss", lambda args: eliminations.append(args[1]))
         for module, fname in ((equiv, "balance_rows"), (cone, "balance_rows"),
-                              (equiv, "vertex_rows"), (cone, "vertex_rows")):
+                              (equiv, "vertex_kernels"), (cone, "vertex_kernels")):
             counting(module, fname, edge_space.append)
         res = global_lower_bound(g)
         increases, best = 0, None

@@ -92,8 +92,9 @@ def test_every_import_is_used():
 
 
 BENCH = SRC.parents[1] / "perfbench"
-# The paper's cone subspace J~R, kept public for its users though the
-# package itself decides cones from integer rows.
+# The paper's cone subspace J~R, kept public for its users; the report
+# builds the same restriction of ``vertex_kernels`` itself, from the
+# target's normals computed once for its per-vertex decisions.
 PUBLIC_WITHOUT_CALLER = {"jr_subspace"}
 
 
