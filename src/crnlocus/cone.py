@@ -9,8 +9,8 @@ when a strictly positive point exists and zero otherwise.
 
 J~R is built as J0 is: J0 is D0, the sum of the vertices' local
 kernels, restricted to flux balance, and J~R is the sum of the kernels
-L_v of the vertices' cone rows restricted to balance (both sums come
-from ``equiv.vertex_kernels``).  The cone rows of v touch only its
+L_v of the vertices' cone rows restricted to balance (both sums are
+embedded by ``equiv.embed_kernels``).  The cone rows of v touch only its
 out-edges: their dot products with the normals of g's outgoing span at
 v, or their coordinates where g has no out-edges at v.
 
@@ -26,34 +26,38 @@ on each class, of dimension |V1| - l1, and the generator rows B kappa_v
 already span that.  The converse holds as the vertex rows are
 block-diagonal by source vertex.
 
-So one per-vertex decision, ``cone_dimension``, serves the scan of
-``bound --all`` and the report (``jr_dimension``), and an emptiness
-certificate is local: supported on one vertex's out-edges, and checked
-nonnegative, nonzero and orthogonal to the canonical basis of J~R, on
-which the simplex pivots for a witness.
+So one per-vertex decision, ``local_certificate``, serves the scan of
+``bound --all`` and the report (``jr_dimension``).  It reads the
+reduced rows of a vertex off the reduced echelon basis of L_v, from the
+one elimination that built it: a sign-definite row proves the local
+cone empty, and otherwise the simplex runs on L_v.  An emptiness
+certificate is local: supported on one vertex's out-edges and checked
+against that L_v.  The subspace of an empty cone then has the integer
+dimension sum dim L_v minus the rank of their balance images; only a
+nonempty cone with rows builds the canonical basis of J~R, on which the
+simplex pivots for a witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .egraph import EGraph, NotWeaklyReversibleError, bfs, is_weakly_reversible, linkage_classes
 from .equiv import (
     EdgeVector,
-    _local_block,
     balance_rows,
+    balanced_dimension,
+    embed_kernels,
+    local_kernel,
     realize_with_diagnostic,
     restrict_to_kernel,
     vertex_imbalance,
-    vertex_kernels,
 )
 from .exactla import (
     RationalMatrix,
     Subspace,
     Vec,
-    bareiss,
     combine,
     dot,
     integer_rows,
@@ -216,44 +220,39 @@ def out_span_normals(g: EGraph) -> dict[Vec, list[list[int]]]:
     return out
 
 
-def farkas_row(rows: Sequence[Sequence[int]]) -> Sequence[int] | None:
-    """A nonzero row with every entry >= 0, or every entry <= 0, if any.
-
-    Such a row of the row space is orthogonal to every point of the
-    kernel, so no strictly positive point lies in the kernel.
-    """
-    return next((r for r in rows if any(r) and (min(r) >= 0 or max(r) <= 0)), None)
-
-
-def cone_dimension(rows: list[list[int]], nedges: int) -> tuple[int, Vec | None]:
-    """One vertex's local cone, the kernel of the integer ``rows`` over its
-    ``nedges`` out-edges: the kernel's dimension, and None when the kernel
-    holds a strictly positive point, else a certificate of emptiness.
-
-    The rows are reduced in place.  A sign-definite row, in absolute value,
-    is the certificate; otherwise, if any row is left, the exact simplex
-    runs on the canonical basis of the kernel, which is built only then.
-    """
-    del rows[len(bareiss(rows, nedges, reduced=True)[0]) :]
-    row = farkas_row(rows)
-    if row is not None:
-        return nedges - len(rows), vec(map(abs, row))
-    if not rows:
-        return nedges, None
-    basis = kernel_basis(RationalMatrix.from_rows(rows, cols=nedges))
-    return basis.dim, positive_point(basis).certificate
+def local_certificate(kernel: Subspace) -> Vec | None:
+    """One vertex's local cone, decided from its canonical kernel L_v: None
+    when L_v holds a strictly positive point, else a certificate of
+    emptiness.  The reduced row of each column p that leads no basis vector
+    is 1 at p and -b[p] at the leading column of each basis vector b; one
+    with every b[p] <= 0 is the certificate, and otherwise the simplex runs."""
+    n = kernel.ambient
+    if kernel.dim == n:
+        return None
+    leads = [next(j for j, x in enumerate(b) if x) for b in kernel.basis]
+    for p in sorted(set(range(n)).difference(leads)):
+        if all(b[p] <= 0 for b in kernel.basis):
+            row = [_ZERO] * n
+            row[p] = _ONE
+            for lead, b in zip(leads, kernel.basis):
+                row[lead] = -b[p]
+            return tuple(row)
+    return positive_point(kernel).certificate
 
 
-def _pair_normals(g1: EGraph, g: EGraph) -> dict[Vec, list[list[int]]]:
-    """``out_span_normals(g)``, once g1 is checked weakly reversible and then
-    in g's ambient space."""
+def _pair_kernels(g1: EGraph, g: EGraph) -> list[tuple[list[int], Subspace]]:
+    """The local cone kernels L_v of g1's vertices against the out-span
+    normals of g, once g1 is checked weakly reversible and then in g's
+    ambient space."""
     if not is_weakly_reversible(g1):
         raise NotWeaklyReversibleError(
             "the realization-source graph must be weakly reversible; "
             "a non-weakly-reversible graph admits no positive balanced flux"
         )
     g.check_same_ambient(g1)
-    return out_span_normals(g)
+    normals_at = out_span_normals(g)
+    at = zip(g1.vertices, g1.out_edges)
+    return [(out, local_kernel(g1, out, normals_at.get(v))) for v, out in at if out]
 
 
 def jr_subspace(g1: EGraph, g: EGraph) -> Subspace:
@@ -263,7 +262,7 @@ def jr_subspace(g1: EGraph, g: EGraph) -> Subspace:
     to the span of g's outgoing directions at shared vertices; per-vertex
     flux balance everywhere on g1.
     """
-    return restrict_to_kernel(vertex_kernels(g1, _pair_normals(g1, g)), balance_rows(g1))
+    return restrict_to_kernel(embed_kernels(g1, _pair_kernels(g1, g)), balance_rows(g1))
 
 
 def _cycle_flux(g1: EGraph) -> EdgeVector:
@@ -340,30 +339,27 @@ def jr_dimension(g1: EGraph, g: EGraph) -> ConeResult:
 
     With no cone rows at any vertex the cone is cut by balance alone:
     nonempty as g1 is weakly reversible, of dimension |E1| - |V1| + l1,
-    with the cycle flux as its witness and no basis.  Otherwise the
-    first vertex whose local cone is empty gives the certificate,
-    checked against the canonical basis, and when every vertex passes
-    the exact simplex on that basis gives the witness.  Every witness is
+    with the cycle flux as its witness and no basis.  Otherwise the first
+    vertex whose local cone is empty gives the certificate, checked against
+    its L_v, with no basis; when every vertex passes, the exact simplex on
+    the canonical basis of J~R gives the witness.  Every witness is
     re-verified by the membership test before it is reported.
     """
-    normals_at = _pair_normals(g1, g)
-    blocks = [
-        (out, _local_block(g1, out, normals_at.get(v))) for v, out in zip(g1.vertices, g1.out_edges)
-    ]
-    if not any(rows for _, rows in blocks):
+    kernels = _pair_kernels(g1, g)
+    if all(kernel.dim == len(out) for out, kernel in kernels):
         witness = _cycle_flux(g1)
         if any(vertex_imbalance(g1, witness.values)):
             raise RuntimeError("cycle flux fell outside the balance kernel")
         tilde_dim = g1.num_edges - g1.num_vertices + len(linkage_classes(g1))
     else:
-        tilde = restrict_to_kernel(vertex_kernels(g1, normals_at), balance_rows(g1))
-        tilde_dim = tilde.dim
-        for out, rows in blocks:
-            local = cone_dimension(rows, len(out))[1]
+        for out, kernel in kernels:
+            local = local_certificate(kernel)
             if local is not None:
-                at = dict(zip(out, local))
-                cert = _certified_empty(vec(at.get(e, 0) for e in range(g1.num_edges)), tilde)
-                return ConeResult(tilde_dim, "empty", 0, certificate=cert.certificate)
+                at = dict(zip(out, _certified_empty(local, kernel).certificate))
+                cert = vec(at.get(e, 0) for e in range(g1.num_edges))
+                return ConeResult(balanced_dimension(g1, kernels), "empty", 0, certificate=cert)
+        tilde = restrict_to_kernel(embed_kernels(g1, kernels), balance_rows(g1))
+        tilde_dim = tilde.dim
         res = positive_point(tilde)
         if not res.feasible:
             raise RuntimeError("the simplex found the cone empty, against the per-vertex lemma")

@@ -215,31 +215,6 @@ def _local_rows(
     return [[dot(c, rv) for rv in rvs] for c in normals]
 
 
-def _local_block(
-    g: EGraph, edges: Sequence[int], normals: Sequence[Sequence[Rat]] | None = None
-) -> list[list[int]]:
-    """The nonzero local rows over ``edges``, each scaled to integers by its
-    own denominators: scaling a row keeps the row space, and so the local
-    kernel, where scaling a column would rescale the kernel's vectors."""
-    return [row for row in integer_rows(_local_rows(g, edges, normals)) if any(row)]
-
-
-def _local_d0_image(g: EGraph, edges: Sequence[int]) -> list[list[int]]:
-    """The local D0 of ``edges``, out-edges of one vertex (the kernel of
-    their coordinate rows), its canonical basis pushed through the balance
-    map: per basis vector, one integer row of inflow minus outflow at each
-    vertex of g."""
-    images = []
-    for kv in kernel_basis(RationalMatrix.from_rows(_local_rows(g, edges), cols=len(edges))).basis:
-        row = [_ZERO] * g.num_vertices
-        for ei, x in zip(edges, kv):
-            s, t = g.edges[ei]
-            row[s] -= x
-            row[t] += x
-        images.append(row)
-    return integer_rows(images)
-
-
 def d0_dimension(g: EGraph) -> int:
     """dim D0(g) from integer ranks: the system is block-diagonal by source
     vertex, so it is the sum of |out(v)| - rank of the out-directions at v."""
@@ -250,35 +225,24 @@ def d0_dimension(g: EGraph) -> int:
     )
 
 
-def j0_dimension(g: EGraph) -> int:
-    """dim J0(g) from integer ranks: J0 is D0 restricted to balance, and D0
-    is the sum of the local D0s, so it is the sum of their dimensions minus
-    the rank of their images under the balance map."""
-    images = [row for out in g.out_edges if out for row in _local_d0_image(g, out)]
-    return len(images) - len(bareiss(images, g.num_vertices)[0])
-
-
-def vertex_kernels(
-    g: EGraph, normals_at: Mapping[Vec, Sequence[Sequence[Rat]]] | None = None
+def local_kernel(
+    g: EGraph, edges: Sequence[int], normals: Sequence[Sequence[Rat]] | None = None
 ) -> Subspace:
-    """The sum of the local kernels of g's vertices, as its canonical basis.
+    """The canonical kernel of the local rows over ``edges``, out-edges of
+    one vertex: with no normals the local D0, and with the out-span normals
+    of a target graph the local cone space L_v."""
+    return kernel_basis(RationalMatrix.from_rows(_local_rows(g, edges, normals), cols=len(edges)))
 
-    A vertex's local rows are the reaction-vector coordinates of its
-    out-edges, or, at a vertex whose coordinates key ``normals_at``, their
-    dot products with those normals.  With no normals the sum is D0(g);
-    with the out-span normals of a target graph it is the sum of the
-    local cones' subspaces L_v.  The system is block-diagonal by source
-    vertex, and a vertex's out-edges ascend, so the reduced echelon bases
-    of the local kernels, embedded at the out-edges and ordered by pivot
-    column, are the reduced echelon basis of the sum.
-    """
+
+def embed_kernels(g: EGraph, kernels: Sequence[tuple[Sequence[int], Subspace]]) -> Subspace:
+    """The sum of local kernels, each given with its vertex's out-edges, as
+    its canonical basis.  The kernels lie on disjoint edges, and a vertex's
+    out-edges ascend, so their reduced echelon bases, embedded at the
+    out-edges and ordered by pivot column, are the reduced echelon basis of
+    the sum."""
     by_pivot: list[tuple[int, Vec]] = []
-    for coords, out in zip(g.vertices, g.out_edges):
-        if not out:
-            continue
-        normals = normals_at.get(coords) if normals_at else None
-        rows = _local_rows(g, out, normals)
-        for kv in kernel_basis(RationalMatrix.from_rows(rows, cols=len(out))).basis:
+    for out, kernel in kernels:
+        for kv in kernel.basis:
             v = [_ZERO] * g.num_edges
             for ei, x in zip(out, kv):
                 v[ei] = x
@@ -286,9 +250,38 @@ def vertex_kernels(
     return Subspace(g.num_edges, tuple(v for _, v in sorted(by_pivot)))
 
 
+def balance_image(g: EGraph, edges: Sequence[int], kernel: Subspace) -> list[list[int]]:
+    """A local kernel at ``edges``, out-edges of one vertex, pushed through
+    the balance map: per basis vector, one integer row of inflow minus
+    outflow at each vertex of g."""
+    images = []
+    for kv in kernel.basis:
+        row = [_ZERO] * g.num_vertices
+        for ei, x in zip(edges, kv):
+            s, t = g.edges[ei]
+            row[s] -= x
+            row[t] += x
+        images.append(row)
+    return integer_rows(images)
+
+
+def balanced_dimension(g: EGraph, kernels: Sequence[tuple[Sequence[int], Subspace]]) -> int:
+    """The dimension of the sum of local kernels restricted to flux balance,
+    from an integer rank: the sum of their dimensions minus the rank of
+    their balance images."""
+    images = [row for out, kernel in kernels for row in balance_image(g, out, kernel)]
+    return len(images) - len(bareiss(images, g.num_vertices)[0])
+
+
+def j0_dimension(g: EGraph) -> int:
+    """dim J0(g) from integer ranks: J0 is D0, the sum of the local D0s,
+    restricted to balance."""
+    return balanced_dimension(g, [(out, local_kernel(g, out)) for out in g.out_edges if out])
+
+
 def d0_basis(g: EGraph) -> Subspace:
     """Canonical basis of D0(g): weightings with zero net vector at every vertex."""
-    return vertex_kernels(g)
+    return embed_kernels(g, [(out, local_kernel(g, out)) for out in g.out_edges if out])
 
 
 def restrict_to_kernel(sub: Subspace, constraints: Sequence[Sequence[int]]) -> Subspace:

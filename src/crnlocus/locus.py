@@ -21,7 +21,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .cone import ConeResult, cone_dimension, jr_dimension, membership_failure, out_span_normals
+from .cone import (
+    ConeResult,
+    jr_dimension,
+    local_certificate,
+    membership_failure,
+    out_span_normals,
+)
 from .egraph import (
     EGraph,
     NotWeaklyReversibleError,
@@ -33,13 +39,13 @@ from .egraph import (
 )
 from .equiv import (
     EdgeVector,
-    _local_block,
-    _local_d0_image,
+    balance_image,
     d0_basis,
     d0_dimension,
     is_dynamically_equivalent,
     j0_basis,
     j0_dimension,
+    local_kernel,
     realize_on,
     state_power,
 )
@@ -275,8 +281,8 @@ def pair_lower_bound(g: EGraph, g1: EGraph) -> BoundReport:
 
     Not applicable (flagged, never raised) when g1 is not weakly
     reversible or the realizable-flux cone is empty.  The dimensions of
-    D0(g), S_g1 and J0(g1) come from integer ranks and are checked
-    against the exact bases; the cone comes with a verified witness.
+    D0(g), S_g1 and J0(g1) come from integer ranks, and no basis is built
+    for them; the cone comes with a verified witness.
     """
     dim_d0 = d0_dimension(g)
     try:
@@ -300,11 +306,6 @@ def pair_lower_bound(g: EGraph, g1: EGraph) -> BoundReport:
         )
     dim_s = stoich_dim(g1)
     dim_j0 = j0_dimension(g1)
-    if (dim_d0, dim_j0) != (d0_basis(g).dim, j0_basis(g1).dim):
-        raise RuntimeError(
-            "internal inconsistency: integer ranks disagree with the D0/J0 bases "
-            f"({dim_d0}, {dim_j0}); rank assembly is buggy"
-        )
     raw = cone.dim + dim_s + dim_d0 - dim_j0
     return BoundReport(
         g_edge_count=g.num_edges,
@@ -361,13 +362,13 @@ def _vertex_terms(gc: EGraph, vi: int, kept: int, normals: list[list[int]] | Non
     local D0 pushed through the balance map, its reaction rows reduced to
     a basis, and the bits of ``vi`` and its heads."""
     out = [ei for ei in gc.out_edges[vi] if kept >> ei & 1]
-    cone_dim, certificate = cone_dimension(_local_block(gc, out, normals), len(out))
-    if certificate is not None:
+    cone = local_kernel(gc, out, normals)
+    if local_certificate(cone) is not None:
         return None
     reaction = integer_rows(gc.reaction_vectors[ei] for ei in out)
     del reaction[len(bareiss(reaction, gc.n)[0]) :]
     group = sum(1 << gc.edges[ei][1] for ei in out) | 1 << vi
-    return cone_dim, _local_d0_image(gc, out), reaction, group
+    return cone.dim, balance_image(gc, out, local_kernel(gc, out)), reaction, group
 
 
 def _class_count(groups: Sequence[int]) -> int:

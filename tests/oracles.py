@@ -1,7 +1,8 @@
 """Independent oracles: deliberately naive re-implementations used to
 cross-check the library's optimized paths.  Nothing here imports the
-functions it checks; ``basis_pair_terms`` checks the integer-rank scan
-against exact bases, with the cone subspace from the monolithic
+functions it checks; ``basis_pair_terms`` checks the integer ranks of
+the mask scan and of ``pair_lower_bound``, which builds no basis for
+them, against exact bases, with the cone subspace from the monolithic
 construction ``monolithic_jr_subspace``; ``per_subgraph_global_bound``
 checks the mask scan of ``global_lower_bound`` by building a graph per
 mask; ``local_cone_blocks`` and ``has_positive_kernel_point`` check the

@@ -182,12 +182,34 @@ class TestJrDimension:
         def no_basis(*args):
             raise AssertionError("a balance-only cone built a basis")
 
-        monkeypatch.setattr(cone, "vertex_kernels", no_basis)
+        monkeypatch.setattr(cone, "embed_kernels", no_basis)
         monkeypatch.setattr(cone, "restrict_to_kernel", no_basis)
         for g1, g in [(g_k4(), g_k4()), (g_long_cycle(50), g_long_cycle(50))]:
             res = jr_dimension(g1, g)
             assert res.status == "nonempty" and res.dim == res.tilde_dim
             assert is_member_jr(g1, g, res.witness)
+
+    def test_empty_cone_builds_no_edge_space_basis(self, monkeypatch):
+        # An empty cone is decided at one vertex: its certificate is checked
+        # against that vertex's local kernel, and tilde_dim is an integer
+        # rank, so no local kernel is embedded in the edge space.
+        def no_basis(*args):
+            raise AssertionError("an empty cone built an edge-space basis")
+
+        monkeypatch.setattr(cone, "embed_kernels", no_basis)
+        monkeypatch.setattr(cone, "restrict_to_kernel", no_basis)
+        pairs = [empty_pair()] + _golden_pairs("row_3d") + _golden_pairs("simplex_empty")
+        assert len(pairs) == 5
+        for g1, g in pairs:
+            res = jr_dimension(g1, g)
+            oracle = monolithic_jr_subspace(g1, g)
+            assert res.status == "empty" and res.dim == 0, (g1, g)
+            assert res.tilde_dim == oracle.dim, (g1, g)
+            cert = res.certificate
+            support = {ei for ei, c in enumerate(cert) if c}
+            assert support and all(c >= 0 for c in cert), (g1, g)
+            assert any(support <= set(out) for out in g1.out_edges), (g1, g)
+            assert not any(dot(cert, b) for b in oracle.basis), (g1, g)
 
     def test_unbalanced_cycle_flux_refused(self, monkeypatch):
         # positive but unbalanced: one edge carries two units
@@ -407,12 +429,13 @@ class TestLocalLemma:
 PAIR_DATA = Path(__file__).resolve().parent / "data" / "pairs"
 
 
-def _golden_pairs():
-    """The (g1, g) pairs of the pair goldens: cones cut by balance alone,
-    empty with and without a sign-definite constraint row, and nonempty
-    with constraints past balance."""
+def _golden_pairs(prefix: str = ""):
+    """The (g1, g) pairs of the pair goldens whose names start with
+    ``prefix``: cones cut by balance alone, empty with and without a
+    sign-definite constraint row, and nonempty with constraints past
+    balance."""
     pairs = []
-    for path in sorted(PAIR_DATA.glob("*_g1.json")):
+    for path in sorted(PAIR_DATA.glob(f"{prefix}*_g1.json")):
         g = parse_egraph(path.with_name(path.name.replace("_g1", "_g")).read_text())
         pairs.append((parse_egraph(path.read_text()), g))
     return pairs

@@ -250,18 +250,36 @@ class TestOneEliminationPerBasis:
     """Each canonical basis comes from one elimination: its kernel is read
     off in reduced echelon form, with no second reduction of the span."""
 
-    def test_cone_basis(self, bareiss_calls):
-        # One elimination per local kernel, as for D0, and one to restrict
-        # their sum to balance, as for J0.
-        for g1, g in [(g_k4(), g_in()), (g_k4(), g_cyc()), (g_cyc(), g_in())]:
-            normals_at = cone.out_span_normals(g)
+    def test_cone_basis(self, bareiss_calls, monkeypatch):
+        # jr_dimension eliminates each vertex's local cone rows once, as
+        # d0_basis does, and once more to restrict their sum to balance, as
+        # for J0, or to rank their balance images when the cone is empty;
+        # a cone cut by balance alone needs neither.  The target's normals
+        # and the witness's membership re-check are not counted.
+        def uncounted(name):
+            original = getattr(cone, name)
+
+            def run(*args):
+                before = len(bareiss_calls)
+                try:
+                    return original(*args)
+                finally:
+                    del bareiss_calls[before:]
+
+            monkeypatch.setattr(cone, name, run)
+
+        uncounted("out_span_normals")
+        uncounted("is_member_jr")
+        from test_cone import empty_pair
+
+        pairs = [(g_k4(), g_in(), 1), (g_k4(), g_cyc(), 0), (g_cyc(), g_in(), 1),
+                 (g_k4(), g_k4(), 0), (*empty_pair(), 1)]
+        for g1, g, past_balance in pairs:
             before = len(bareiss_calls)
-            local = equiv.vertex_kernels(g1, normals_at)
-            assert len(bareiss_calls) - before == sum(1 for out in g1.out_edges if out)
-            before = len(bareiss_calls)
-            tilde = equiv.restrict_to_kernel(local, balance_rows(g1))
-            assert len(bareiss_calls) - before == 1
-            assert tilde == cone.jr_subspace(g1, g)
+            res = cone.jr_dimension(g1, g)
+            vertices = sum(1 for out in g1.out_edges if out)
+            assert len(bareiss_calls) - before == vertices + past_balance
+            assert res.tilde_dim == cone.jr_subspace(g1, g).dim
 
     def test_restrict_to_kernel(self, bareiss_calls):
         rng = random.Random(19)

@@ -1,10 +1,15 @@
+import contextlib
 import functools
+import io
 import json
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crnlocus import (
     EGraph,
@@ -22,35 +27,38 @@ from crnlocus import (
     psi_small,
 )
 from crnlocus.cone import (
-    cone_dimension,
-    farkas_row,
+    PositivityResult,
+    local_certificate,
     membership_failure,
-    out_span_normals,
     positive_point,
 )
 from crnlocus import cone, equiv, exactla, locus
-from crnlocus.egraph import complete_graph, edge_subgraph, linkage_classes
+from crnlocus.cli import main
+from crnlocus.egraph import complete_graph, edge_subgraph, linkage_classes, parse_egraph
 from crnlocus.equiv import (
     POWER_MAX_BITS,
-    _local_block,
+    balance_rows,
     d0_basis,
     d0_dimension,
     j0_basis,
     j0_dimension,
 )
-from crnlocus.exactla import bareiss, combine, coords_in_basis, dot, vec
+from crnlocus.exactla import combine, coords_in_basis, dot, vec
 from crnlocus.locus import PsiDomainError
 
 from capped import run_capped
 from fixture_graphs import g_cyc, g_in, g_k4, g_two_vertex
 from oracles import (
     basis_pair_terms,
+    d0_constraint_matrix,
     monolithic_jr_subspace,
+    naive_kernel_subspace,
     per_subgraph_global_bound,
     random_four_vertex_graph,
     random_m_vertex_graph,
     random_positive_rational,
 )
+from test_cli_golden import ROOT, commands
 
 PAIRS = [
     ("in,cyc", g_in(), g_cyc(), 1, 3),
@@ -497,6 +505,111 @@ class TestPairBound:
         assert "empty" in report.reason
 
 
+def _naive_d0_rows(g):
+    dm = d0_constraint_matrix(g)
+    return [dm.row(i) for i in range(dm.rows)]
+
+
+def _check_terms_against_bases(g, g1) -> str:
+    """``pair_lower_bound(g, g1)``'s terms against ``basis_pair_terms``, and
+    dim D0(g) and dim J0(g1) against the naive kernels of their stacked
+    constraint rows.  Returns "applicable", "empty" or "not wr"."""
+    report = pair_lower_bound(g, g1)
+    assert report.dim_d0 == naive_kernel_subspace(_naive_d0_rows(g), g.num_edges).dim
+    if not report.g1_weakly_reversible:
+        assert not report.applicable
+        return "not wr"
+    terms = (report.applicable, report.dim_jr, report.dim_s, report.dim_d0, report.dim_j0)
+    applicable, dim_jr, dim_s, dim_d0, dim_j0 = basis_pair_terms(g, g1)
+    if not applicable:
+        assert terms == (False, None, None, dim_d0, None)
+        return "empty"
+    assert terms == (True, dim_jr, dim_s, dim_d0, dim_j0)
+    j0_rows = _naive_d0_rows(g1) + balance_rows(g1)
+    assert report.dim_j0 == naive_kernel_subspace(j0_rows, g1.num_edges).dim
+    return "applicable"
+
+
+def _golden_incumbents(monkeypatch):
+    """The (g, subgraph) pairs whose full reports the golden ``bound --all``
+    commands build, recorded by wrapping ``locus.pair_lower_bound``."""
+    seen = []
+    original = locus.pair_lower_bound
+
+    def recording(g, g1):
+        seen.append((g, g1))
+        return original(g, g1)
+
+    monkeypatch.setattr(locus, "pair_lower_bound", recording)
+    monkeypatch.chdir(ROOT)
+    for command in commands():
+        if "--all" in command:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                main(["--output", "json", *command])
+    return seen
+
+
+class TestPairTermsAgainstBases:
+    """The pair bound's integer ranks against exact bases, on every input
+    the CLI goldens report on, the fixtures and random subgraphs."""
+
+    def test_golden_pairs(self):
+        kinds = Counter()
+        for command in commands():
+            if command[0] == "bound" and len(command) == 3 and "--all" not in command:
+                g, g1 = (parse_egraph((ROOT / path).read_text()) for path in command[1:])
+                if g.n == g1.n:
+                    kinds[_check_terms_against_bases(g, g1)] += 1
+        assert sum(kinds.values()) == 34 and min(kinds.values()) >= 3, kinds
+
+    def test_golden_incumbents(self, monkeypatch):
+        incumbents = _golden_incumbents(monkeypatch)
+        monkeypatch.undo()
+        assert len(incumbents) >= 50
+        for g, sub in incumbents:
+            assert _check_terms_against_bases(g, sub) == "applicable"
+
+    def test_fixture_pairs(self):
+        from test_cone import FIXTURE_PAIRS, empty_pair
+
+        pairs = [(g, g1) for _, g, g1, _, _ in PAIRS] + [(g, g1) for _, g1, g, _ in FIXTURE_PAIRS]
+        g1, g = empty_pair()
+        kinds = Counter(_check_terms_against_bases(g, g1) for g, g1 in pairs + [(g, g1), (g1, g)])
+        assert set(kinds) == {"applicable", "empty", "not wr"}, kinds
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.sampled_from((2, 3)),
+        den=st.sampled_from((1, 2)),
+        target=st.sampled_from(("g", "complete", "wr")),
+    )
+    def test_random_wr_subgraphs(self, seed, n, den, target):
+        from test_cone import _report_pair
+
+        g1, g = _report_pair(random.Random(seed), n, den, target)
+        _check_terms_against_bases(g, g1)
+
+    def test_pair_bound_on_a_long_path_under_capped_memory(self):
+        # Every term is an integer rank over per-vertex data and no edge-space
+        # basis is built: about 0.8 s of CPU on a 1,500-vertex bidirected path
+        # (2 shared CPUs), where building the D0 and J0 bases as well took
+        # 3.6-3.8 s.
+        code = (
+            "import time; from crnlocus import EGraph, pair_lower_bound; "
+            "m = 1500; edges = sorted([(i, i + 1) for i in range(m - 1)] "
+            "+ [(i + 1, i) for i in range(m - 1)]); "
+            "g = EGraph(1, [(i,) for i in range(m)], edges); "
+            "t = time.process_time(); r = pair_lower_bound(g, g); "
+            "print(r.capped_bound, time.process_time() - t)"
+        )
+        proc = run_capped(code)
+        assert proc.returncode == 0, proc.stderr
+        bound, cpu = proc.stdout.split()
+        assert int(bound) == 2998
+        assert float(cpu) < 2.0
+
+
 class TestGlobalBound:
     def test_g_in_best_four(self):
         res = global_lower_bound(g_in())
@@ -625,19 +738,19 @@ class TestIntegerScan:
         g = SCAN_CONFIGS[name]
         for row in _scan(name)[1]:
             sub = _subgraph(g, row.mask)
-            if any(farkas_row(rows) is not None for _, rows in _reduced_blocks(sub, g)):
+            if any(_sign_rule(kernel) is not None for _, kernel in _cone_kernels(sub, g)):
                 assert not positive_point(jr_subspace(sub, g)).feasible, row
 
     def test_sign_rule_certifies_empty_pair(self):
         from test_cone import empty_pair
 
         g1, g = empty_pair()
-        blocks = _reduced_blocks(g1, g)
-        assert any(rows for _, rows in blocks)
-        signed = [(out, rows) for out, rows in blocks if farkas_row(rows) is not None]
+        kernels = _cone_kernels(g1, g)
+        assert any(kernel.dim < len(out) for out, kernel in kernels)
+        signed = [kernel for _, kernel in kernels if _sign_rule(kernel) is not None]
         assert signed
-        for out, rows in signed:
-            assert cone_dimension(rows, len(out))[1] is not None
+        for kernel in signed:
+            assert local_certificate(kernel) is not None
         assert jr_dimension(g1, g).status == "empty"
 
     def test_non_integer_rows_scaled_per_row(self):
@@ -650,7 +763,7 @@ class TestIntegerScan:
         g1 = EGraph(2, g.vertices, [(0, 1), (0, 2), (0, 3), (1, 0), (1, 2), (1, 3), (2, 1), (3, 0)])
         assert j0_dimension(g1) == j0_basis(g1).dim == g1.num_edges - 7
         for target in (g, g1, g_k4()):
-            local = [cone_dimension(rows, len(out)) for out, rows in _reduced_blocks(g1, target)]
+            local = [(k.dim, local_certificate(k)) for _, k in _cone_kernels(g1, target)]
             lemma = sum(dim for dim, _ in local) - g1.num_vertices + len(linkage_classes(g1))
             decided = None if any(cert is not None for _, cert in local) else lemma
             assert decided == basis_pair_terms(target, g1)[1]
@@ -667,17 +780,22 @@ class TestIntegerScan:
         )
 
 
-def _reduced_blocks(g1, g):
-    """Per vertex of g1 with out-edges: its out-edges, and its local cone
-    rows against g reduced as the per-vertex decision reduces them."""
-    normals_at = out_span_normals(g)
-    blocks = []
-    for v, out in zip(g1.vertices, g1.out_edges):
-        if out:
-            rows = _local_block(g1, out, normals_at.get(v))
-            del rows[len(bareiss(rows, len(out), reduced=True)[0]) :]
-            blocks.append((out, rows))
-    return blocks
+def _cone_kernels(g1, g):
+    """Per vertex of g1 with out-edges: its out-edges, and the canonical
+    kernel of its local cone rows against g, on which the per-vertex
+    decision is made."""
+    return cone._pair_kernels(g1, g)
+
+
+def _sign_rule(kernel):
+    """The per-vertex decision with the simplex taken out: a certificate
+    only where a sign-definite row of the kernel's reduced rows gives one."""
+    def undecided(_):
+        return PositivityResult(feasible=True)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cone, "positive_point", undecided)
+        return local_certificate(kernel)
 
 
 # Caps for the cross-check against the per-subgraph scan: none, zero, one,
@@ -711,11 +829,12 @@ class TestMaskScan:
     @pytest.mark.parametrize("name", ["g_k4", "g_cyc", "r11-3d-den1"])
     def test_graphs_only_for_incumbents_and_blocks_once(self, name, monkeypatch):
         # Outside the incumbents' reports the scan decides every cone vertex
-        # by vertex: one local block and at most one simplex per (vertex,
-        # kept out-edges), no balance rows, no vertex rows embedded in the
-        # edge space, and no elimination wider than max(|V|, n) columns.
+        # by vertex: one local cone kernel, at most one local D0 kernel and
+        # at most one simplex per (vertex, kept out-edges), no balance rows,
+        # no local kernels embedded in the edge space, and no elimination
+        # wider than max(|V|, n) columns.
         g = SCAN_CONFIGS[name]
-        subgraphs, blocks, simplexes, eliminations, edge_space = [], [], [], [], []
+        subgraphs, kernels, simplexes, eliminations, edge_space = [], [], [], [], []
         in_report = []
 
         def reporting(target, sub):
@@ -741,12 +860,13 @@ class TestMaskScan:
 
         monkeypatch.setattr(locus, "edge_subgraph", counting_subgraph)
         monkeypatch.setattr(locus, "pair_lower_bound", reporting)
-        counting(locus, "_local_block", lambda args: blocks.append(tuple(args[1])))
+        # A cone kernel is asked for with the vertex's normals, a D0 kernel without.
+        counting(locus, "local_kernel", lambda args: kernels.append((tuple(args[1]), len(args) > 2)))
         counting(cone, "positive_point", simplexes.append)
-        for module in (exactla, equiv, cone, locus):
+        for module in (exactla, equiv, locus):
             counting(module, "bareiss", lambda args: eliminations.append(args[1]))
         for module, fname in ((equiv, "balance_rows"), (cone, "balance_rows"),
-                              (equiv, "vertex_kernels"), (cone, "vertex_kernels")):
+                              (equiv, "embed_kernels"), (cone, "embed_kernels")):
             counting(module, fname, edge_space.append)
         res = global_lower_bound(g)
         increases, best = 0, None
@@ -755,7 +875,8 @@ class TestMaskScan:
                 increases, best = increases + 1, row.capped_bound
         assert len(subgraphs) == increases >= 1
         m = g.num_vertices
-        assert len(set(blocks)) == len(blocks) <= m * 2 ** (m - 1)
-        assert len(simplexes) <= len(blocks)
+        cone_kernels = [out for out, with_normals in kernels if with_normals]
+        assert len(set(kernels)) == len(kernels) and len(cone_kernels) <= m * 2 ** (m - 1)
+        assert len(simplexes) <= len(cone_kernels)
         assert eliminations and max(eliminations) <= max(m, g.n)
         assert edge_space == []
