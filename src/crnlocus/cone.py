@@ -9,8 +9,9 @@ when a strictly positive point exists and zero otherwise.
 
 J~R is built as J0 is: J0 is D0, the sum of the vertices' local
 kernels, restricted to flux balance, and J~R is the sum of the kernels
-L_v of the vertices' cone rows restricted to balance (both sums are
-embedded by ``equiv.embed_kernels``).  The cone rows of v touch only its
+L_v of the vertices' cone rows restricted to balance (both restrictions
+are ``equiv.restrict_to_kernel``, which embeds only the balanced
+combinations in the edge space).  The cone rows of v touch only its
 out-edges: their dot products with the normals of g's outgoing span at
 v, or their coordinates where g has no out-edges at v.
 
@@ -46,9 +47,7 @@ from fractions import Fraction
 from .egraph import EGraph, NotWeaklyReversibleError, bfs, is_weakly_reversible, linkage_classes
 from .equiv import (
     EdgeVector,
-    balance_rows,
     balanced_dimension,
-    embed_kernels,
     local_kernel,
     realize_with_diagnostic,
     restrict_to_kernel,
@@ -229,12 +228,11 @@ def local_certificate(kernel: Subspace) -> Vec | None:
     n = kernel.ambient
     if kernel.dim == n:
         return None
-    leads = [next(j for j, x in enumerate(b) if x) for b in kernel.basis]
-    for p in sorted(set(range(n)).difference(leads)):
+    for p in sorted(set(range(n)).difference(kernel.leads)):
         if all(b[p] <= 0 for b in kernel.basis):
             row = [_ZERO] * n
             row[p] = _ONE
-            for lead, b in zip(leads, kernel.basis):
+            for lead, b in zip(kernel.leads, kernel.basis):
                 row[lead] = -b[p]
             return tuple(row)
     return positive_point(kernel).certificate
@@ -262,7 +260,7 @@ def jr_subspace(g1: EGraph, g: EGraph) -> Subspace:
     to the span of g's outgoing directions at shared vertices; per-vertex
     flux balance everywhere on g1.
     """
-    return restrict_to_kernel(embed_kernels(g1, _pair_kernels(g1, g)), balance_rows(g1))
+    return restrict_to_kernel(g1, _pair_kernels(g1, g))
 
 
 def _cycle_flux(g1: EGraph) -> EdgeVector:
@@ -358,7 +356,7 @@ def jr_dimension(g1: EGraph, g: EGraph) -> ConeResult:
                 at = dict(zip(out, _certified_empty(local, kernel).certificate))
                 cert = vec(at.get(e, 0) for e in range(g1.num_edges))
                 return ConeResult(balanced_dimension(g1, kernels), "empty", 0, certificate=cert)
-        tilde = restrict_to_kernel(embed_kernels(g1, kernels), balance_rows(g1))
+        tilde = restrict_to_kernel(g1, kernels)
         tilde_dim = tilde.dim
         res = positive_point(tilde)
         if not res.feasible:

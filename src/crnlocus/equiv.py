@@ -23,7 +23,6 @@ from .exactla import (
     Vec,
     _log,
     bareiss,
-    combine,
     dot,
     frac,
     integer_rows,
@@ -185,23 +184,20 @@ def mass_action_field(g: EGraph, k: EdgeVector) -> Callable[[Sequence], tuple]:
     return field
 
 
-def balance_rows(g: EGraph) -> list[list[int]]:
-    """One row per vertex: incoming minus outgoing edge weights."""
-    rows = [[0] * g.num_edges for _ in range(g.num_vertices)]
-    for ei, (s, t) in enumerate(g.edges):
-        rows[t][ei] += 1
-        rows[s][ei] -= 1
-    return rows
+def _imbalance(g: EGraph, edges: Sequence[int], flux: Sequence) -> list:
+    """Inflow minus outflow at every vertex of g of a flux on ``edges``."""
+    out = [_ZERO] * g.num_vertices
+    for ei, f in zip(edges, flux, strict=True):
+        if f:
+            s, t = g.edges[ei]
+            out[t] += f
+            out[s] -= f
+    return out
 
 
 def vertex_imbalance(g: EGraph, flux: Sequence) -> list:
-    """Inflow minus outflow of an edge flux at every vertex: the balance
-    rows applied to the flux, without building them."""
-    out = [0] * g.num_vertices
-    for (s, t), f in zip(g.edges, flux, strict=True):
-        out[t] += f
-        out[s] -= f
-    return out
+    """Inflow minus outflow of an edge flux at every vertex."""
+    return _imbalance(g, range(g.num_edges), flux)
 
 
 def _local_rows(
@@ -238,80 +234,81 @@ def embed_kernels(g: EGraph, kernels: Sequence[tuple[Sequence[int], Subspace]]) 
     """The sum of local kernels, each given with its vertex's out-edges, as
     its canonical basis.  The kernels lie on disjoint edges, and a vertex's
     out-edges ascend, so their reduced echelon bases, embedded at the
-    out-edges and ordered by pivot column, are the reduced echelon basis of
+    out-edges and ordered by leading edge, are the reduced echelon basis of
     the sum."""
-    by_pivot: list[tuple[int, Vec]] = []
+    by_lead: list[tuple[int, Vec]] = []
     for out, kernel in kernels:
-        for kv in kernel.basis:
+        for lead, kv in zip(kernel.leads, kernel.basis):
             v = [_ZERO] * g.num_edges
             for ei, x in zip(out, kv):
                 v[ei] = x
-            by_pivot.append((next(ei for ei, x in zip(out, kv) if x), tuple(v)))
-    return Subspace(g.num_edges, tuple(v for _, v in sorted(by_pivot)))
+            by_lead.append((out[lead], tuple(v)))
+    return Subspace(g.num_edges, tuple(v for _, v in sorted(by_lead)))
 
 
-def balance_image(g: EGraph, edges: Sequence[int], kernel: Subspace) -> list[list[int]]:
+def balance_image(g: EGraph, edges: Sequence[int], kernel: Subspace) -> list[list[Fraction]]:
     """A local kernel at ``edges``, out-edges of one vertex, pushed through
-    the balance map: per basis vector, one integer row of inflow minus
-    outflow at each vertex of g."""
-    images = []
-    for kv in kernel.basis:
-        row = [_ZERO] * g.num_vertices
-        for ei, x in zip(edges, kv):
-            s, t = g.edges[ei]
-            row[s] -= x
-            row[t] += x
-        images.append(row)
-    return integer_rows(images)
+    the balance map: per basis vector, the row of its inflow minus outflow
+    at each vertex of g."""
+    return [_imbalance(g, edges, kv) for kv in kernel.basis]
 
 
 def balanced_dimension(g: EGraph, kernels: Sequence[tuple[Sequence[int], Subspace]]) -> int:
     """The dimension of the sum of local kernels restricted to flux balance,
     from an integer rank: the sum of their dimensions minus the rank of
     their balance images."""
-    images = [row for out, kernel in kernels for row in balance_image(g, out, kernel)]
+    images = integer_rows(row for out, kernel in kernels for row in balance_image(g, out, kernel))
     return len(images) - len(bareiss(images, g.num_vertices)[0])
+
+
+def restrict_to_kernel(g: EGraph, kernels: Sequence[tuple[Sequence[int], Subspace]]) -> Subspace:
+    """The sum of local kernels, each given with its vertex's out-edges,
+    restricted to flux balance, as its canonical basis.
+
+    The local basis vectors ordered by leading edge are the canonical
+    basis of the sum (``embed_kernels``); the balanced combinations of
+    them are the kernel of their balance images, one column per vector.
+    Reduced echelon combinations of a reduced echelon basis are again
+    reduced echelon, and only they are embedded in the edge space.
+    """
+    terms = sorted(
+        (out[lead], out, kv, image)
+        for out, kernel in kernels
+        for lead, kv, image in zip(kernel.leads, kernel.basis, balance_image(g, out, kernel))
+    )
+    images = [image for *_, image in terms]
+    combos = kernel_basis(RationalMatrix.from_rows(list(zip(*images)), cols=len(terms)))
+    basis = []
+    for t in combos.basis:
+        v = [_ZERO] * g.num_edges
+        for c, (_, out, kv, _) in zip(t, terms):
+            if c:
+                for ei, x in zip(out, kv):
+                    if x:
+                        v[ei] += c * x
+        basis.append(tuple(v))
+    return Subspace(g.num_edges, tuple(basis))
+
+
+def _d0_kernels(g: EGraph) -> list[tuple[Sequence[int], Subspace]]:
+    """The local D0 of each vertex with out-edges, with its out-edges."""
+    return [(out, local_kernel(g, out)) for out in g.out_edges if out]
 
 
 def j0_dimension(g: EGraph) -> int:
     """dim J0(g) from integer ranks: J0 is D0, the sum of the local D0s,
     restricted to balance."""
-    return balanced_dimension(g, [(out, local_kernel(g, out)) for out in g.out_edges if out])
+    return balanced_dimension(g, _d0_kernels(g))
 
 
 def d0_basis(g: EGraph) -> Subspace:
     """Canonical basis of D0(g): weightings with zero net vector at every vertex."""
-    return embed_kernels(g, [(out, local_kernel(g, out)) for out in g.out_edges if out])
-
-
-def restrict_to_kernel(sub: Subspace, constraints: Sequence[Sequence[int]]) -> Subspace:
-    """The subspace of ``sub`` annihilated by the integer constraint rows.
-
-    Entry (i, j) of the reduced system is constraint row i applied to
-    basis vector j, summed only over the nonzero entries of the basis
-    vector and of the constraint columns.  Reduced echelon combinations
-    of a reduced echelon basis are again reduced echelon.
-    """
-    if not sub.basis:
-        return sub
-    column_entries: list[list[tuple[int, int]]] = [[] for _ in range(sub.ambient)]
-    for i, row in enumerate(constraints):
-        for e, x in enumerate(row):
-            if x:
-                column_entries[e].append((i, x))
-    reduced = [[_ZERO] * len(sub.basis) for _ in constraints]
-    for j, b in enumerate(sub.basis):
-        for e, x in enumerate(b):
-            if x:
-                for i, c in column_entries[e]:
-                    reduced[i][j] += c * x
-    combos = kernel_basis(RationalMatrix.from_rows(reduced, cols=len(sub.basis)))
-    return Subspace(sub.ambient, tuple(combine(t, sub.basis, sub.ambient) for t in combos.basis))
+    return embed_kernels(g, _d0_kernels(g))
 
 
 def j0_basis(g: EGraph) -> Subspace:
     """Canonical basis of J0(g) = D0(g) intersected with per-vertex flux balance."""
-    return restrict_to_kernel(d0_basis(g), balance_rows(g))
+    return restrict_to_kernel(g, _d0_kernels(g))
 
 
 def realize_with_diagnostic(

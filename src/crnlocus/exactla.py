@@ -12,7 +12,7 @@ coordinate maps divide by the squared lengths instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm, log, prod
 from typing import Iterable, Sequence
@@ -80,7 +80,7 @@ class RationalMatrix:
         for r in rows:
             if len(r) != width:
                 raise ValueError("ragged rows")
-            flat.extend(frac(x) for x in r)
+            flat.extend(map(frac, r))
         return RationalMatrix(len(rows), width, tuple(flat))
 
     def row(self, i: int) -> Vec:
@@ -92,8 +92,9 @@ def integer_rows(rows: Iterable[Sequence[Rat]]) -> list[list[int]]:
     the row space, hence rank, kernel and sign pattern)."""
     out: list[list[int]] = []
     for row in rows:
-        scale = lcm(*(e.denominator for e in row)) if row else 1
-        out.append([e.numerator * (scale // e.denominator) for e in row])
+        dens = [e.denominator for e in row]
+        scale = lcm(*dens)
+        out.append([e.numerator * (scale // d) for e, d in zip(row, dens)])
     return out
 
 
@@ -178,10 +179,12 @@ class Subspace:
     """A linear subspace of Q^ambient, held as its reduced echelon basis:
     each vector is 1 at its leading column, the leading columns ascend, and
     every other vector is 0 there.  The form proves independence without
-    elimination and is unique: Subspaces are equal iff they span one space."""
+    elimination and is unique: Subspaces are equal iff they span one space.
+    ``leads`` holds the leading columns, found by the check of the form."""
 
     ambient: int
     basis: tuple[Vec, ...]
+    leads: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         later: set[int] = set()  # leading columns of the vectors after this one
@@ -195,6 +198,7 @@ class Subspace:
                 raise ValueError("basis is not in reduced echelon form")
             bound = lead
             later.add(lead)
+        object.__setattr__(self, "leads", tuple(sorted(later)))
 
     @property
     def dim(self) -> int:
@@ -206,8 +210,7 @@ class Subspace:
         w = vec(v)
         if len(w) != self.ambient:
             raise ValueError("vector length differs from ambient dimension")
-        leads = [next(j for j, x in enumerate(b) if x) for b in self.basis]
-        return w == combine([w[c] for c in leads], self.basis, self.ambient)
+        return w == combine([w[c] for c in self.leads], self.basis, self.ambient)
 
 
 def subspace_from_span(vectors: Sequence[Sequence[Rat]], ambient: int) -> Subspace:

@@ -368,7 +368,7 @@ def _vertex_terms(gc: EGraph, vi: int, kept: int, normals: list[list[int]] | Non
     reaction = integer_rows(gc.reaction_vectors[ei] for ei in out)
     del reaction[len(bareiss(reaction, gc.n)[0]) :]
     group = sum(1 << gc.edges[ei][1] for ei in out) | 1 << vi
-    return cone.dim, balance_image(gc, out, local_kernel(gc, out)), reaction, group
+    return cone.dim, integer_rows(balance_image(gc, out, local_kernel(gc, out))), reaction, group
 
 
 def _class_count(groups: Sequence[int]) -> int:

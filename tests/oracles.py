@@ -12,7 +12,7 @@ direct right-hand-side oracles check in turn.
 
 Also here are helpers that only tests call, with the bodies they had in
 the package: ``hat_jr_dimension`` (the cone subspace joined with J0),
-``balance_subspace``, ``enumerate_wr_subgraphs``,
+``balance_rows``, ``balance_subspace``, ``enumerate_wr_subgraphs``,
 ``check_complex_balanced_at`` with its tolerance ``CB_REL_TOL``,
 ``mass_action_rhs``, and the subspace comparisons ``is_subspace_of`` and
 ``spans_same``; ``rank_contains`` is the rank-based membership oracle for
@@ -47,7 +47,6 @@ from crnlocus.egraph import (
     wr_masks_by_size,
 )
 from crnlocus.equiv import (
-    balance_rows,
     d0_basis,
     d0_dimension,
     j0_basis,
@@ -80,6 +79,15 @@ def rank_contains(s: Subspace, v: Sequence) -> bool:
     if len(v) != s.ambient:
         raise ValueError("vector length differs from ambient dimension")
     return len(naive_rref(list(s.basis) + [list(v)])[1]) == s.dim
+
+
+def balance_rows(g: EGraph) -> list[list[int]]:
+    """One row per vertex: incoming minus outgoing edge weights."""
+    rows = [[0] * g.num_edges for _ in range(g.num_vertices)]
+    for ei, (s, t) in enumerate(g.edges):
+        rows[t][ei] += 1
+        rows[s][ei] -= 1
+    return rows
 
 
 def balance_subspace(g: EGraph) -> Subspace:

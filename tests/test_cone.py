@@ -21,7 +21,7 @@ from crnlocus import (
     jr_subspace,
     positive_point,
 )
-from crnlocus import cone
+from crnlocus import cone, equiv
 from crnlocus.cone import _cycle_flux
 from crnlocus.egraph import complete_graph, linkage_classes, parse_egraph
 from crnlocus.exactla import combine, dot, subspace_from_span, vec
@@ -182,7 +182,7 @@ class TestJrDimension:
         def no_basis(*args):
             raise AssertionError("a balance-only cone built a basis")
 
-        monkeypatch.setattr(cone, "embed_kernels", no_basis)
+        monkeypatch.setattr(equiv, "embed_kernels", no_basis)
         monkeypatch.setattr(cone, "restrict_to_kernel", no_basis)
         for g1, g in [(g_k4(), g_k4()), (g_long_cycle(50), g_long_cycle(50))]:
             res = jr_dimension(g1, g)
@@ -196,7 +196,7 @@ class TestJrDimension:
         def no_basis(*args):
             raise AssertionError("an empty cone built an edge-space basis")
 
-        monkeypatch.setattr(cone, "embed_kernels", no_basis)
+        monkeypatch.setattr(equiv, "embed_kernels", no_basis)
         monkeypatch.setattr(cone, "restrict_to_kernel", no_basis)
         pairs = [empty_pair()] + _golden_pairs("row_3d") + _golden_pairs("simplex_empty")
         assert len(pairs) == 5

@@ -3,6 +3,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crnlocus import (
     EGraph,
@@ -20,7 +22,7 @@ from crnlocus import (
 )
 from crnlocus import cone, equiv, exactla, toric
 from crnlocus.cone import positive_point
-from crnlocus.equiv import balance_rows
+from crnlocus.egraph import complete_graph
 from crnlocus.exactla import combine, vec
 
 from capped import run_capped
@@ -36,6 +38,7 @@ from fixture_graphs import (
     g_two_vertex,
 )
 from oracles import (
+    balance_rows,
     balance_subspace,
     d0_constraint_matrix,
     global_reduction_d0_basis,
@@ -181,6 +184,46 @@ class TestD0J0:
             assert j0_basis(g) == naive_kernel_subspace(rows + balance_rows(g), g.num_edges)
 
 
+def _j0_matches_naive(g: EGraph) -> bool:
+    """j0_basis(g), with D0 refused an edge-space basis, against the naive
+    kernel of the D0 rows stacked on the balance rows."""
+
+    def refused(*args):
+        raise AssertionError("j0_basis embedded D0 in the edge space")
+
+    dm = d0_constraint_matrix(g)
+    rows = [dm.row(i) for i in range(dm.rows)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(equiv, "embed_kernels", refused)
+        mp.setattr(equiv, "d0_basis", refused)
+        return j0_basis(g) == naive_kernel_subspace(rows + balance_rows(g), g.num_edges)
+
+
+class TestJ0FromLocalKernels:
+    """J0 restricts the local D0s to balance directly: it neither builds
+    D0 in the edge space nor embeds the local kernels one by one."""
+
+    def test_fixtures(self):
+        data = Path(__file__).parent / "data"
+        graphs = [g_cyc(), g_k4(), g_in(), g_two_vertex(), g_three_cycle(), g_two_classes()]
+        graphs += [g_long_cycle(12)]
+        graphs += [
+            parse_egraph((data / f"{name}.json").read_text())
+            for name in ("de_diag", "de_split", "line")
+        ]
+        graphs += [complete_graph(g) for g in graphs[:6]]
+        assert sum(1 for g in graphs if j0_basis(g).basis) >= 5
+        for g in graphs:
+            assert _j0_matches_naive(g), g
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_random_graphs(self, seed):
+        # half of the draws list their edges out of source order, so the
+        # local vectors must be ordered by leading edge, not by vertex
+        assert _j0_matches_naive(_random_graph(random.Random(seed)))
+
+
 def _random_graph(rng: random.Random) -> EGraph:
     """n = 1-3, 2-6 vertices, sinks and several linkage classes allowed,
     edges in shuffled order half the time."""
@@ -282,15 +325,16 @@ class TestOneEliminationPerBasis:
             assert res.tilde_dim == cone.jr_subspace(g1, g).dim
 
     def test_restrict_to_kernel(self, bareiss_calls):
+        # The local D0s are built first: only the restriction is counted.
         rng = random.Random(19)
         graphs = [g_k4()] + [random_small_egraph(rng, 5) for _ in range(20)]
-        bases = [(g, d0_basis(g)) for g in graphs]
-        assert sum(1 for _, d0 in bases if d0.basis) >= 5
-        for g, d0 in bases:
-            if not d0.basis:
-                continue
+        local = [(g, [(out, equiv.local_kernel(g, out)) for out in g.out_edges if out])
+                 for g in graphs]
+        nonzero = [(g, kernels) for g, kernels in local if any(k.basis for _, k in kernels)]
+        assert len(nonzero) >= 5
+        for g, kernels in nonzero:
             before = len(bareiss_calls)
-            equiv.restrict_to_kernel(d0, balance_rows(g))
+            equiv.restrict_to_kernel(g, kernels)
             assert len(bareiss_calls) - before == 1
 
     def test_d0_basis_once_per_vertex_with_out_edges(self, bareiss_calls):
@@ -319,6 +363,25 @@ class TestOneEliminationPerBasis:
         dim, cpu = proc.stdout.split()
         assert int(dim) == 0  # the path is a tree: no balanced flux
         assert float(cpu) < 5.0
+
+    def test_j0_basis_on_a_1500_vertex_path_under_capped_memory(self):
+        # The local D0s are restricted to balance through their images in
+        # the vertex space, with no balance rows over the edge space: about
+        # 1.1 s of CPU (2 shared CPUs), where restricting the embedded D0
+        # by the dense |V| x |E| balance rows takes about 2.8 s.
+        code = (
+            "import time; from crnlocus import EGraph; from crnlocus.equiv import j0_basis; "
+            "m = 1500; edges = sorted([(i, i + 1) for i in range(m - 1)] "
+            "+ [(i + 1, i) for i in range(m - 1)]); "
+            "g = EGraph(1, [(i,) for i in range(m)], edges); "
+            "t = time.process_time(); s = j0_basis(g); "
+            "print(s.dim, s.ambient, time.process_time() - t)"
+        )
+        proc = run_capped(code)
+        assert proc.returncode == 0, proc.stderr
+        dim, ambient, cpu = proc.stdout.split()
+        assert (int(dim), int(ambient)) == (0, 2 * 1499)
+        assert float(cpu) < 2.0
 
 
 class TestDynamicalEquivalence:

@@ -415,3 +415,15 @@ def test_coords_keep_the_length_check_and_zero_division():
         coords_in_basis([1, 2], [vec([1, 0, 0])])
     with pytest.raises(ZeroDivisionError):
         coords_in_basis([1, 2], [vec([0, 0])])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(rationals, min_size=4, max_size=4), max_size=4))
+def test_subspace_records_its_leading_columns(rows):
+    # the reduced echelon check records them; equality, hashing and repr
+    # still see only the ambient dimension and the basis
+    s = subspace_from_span(rows, 4)
+    assert s.leads == tuple(next(j for j, x in enumerate(b) if x) for b in s.basis)
+    same = Subspace(4, s.basis)
+    assert same == s and hash(same) == hash(s)
+    assert repr(s) == f"Subspace(ambient=4, basis={s.basis!r})"

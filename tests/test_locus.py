@@ -37,7 +37,6 @@ from crnlocus.cli import main
 from crnlocus.egraph import complete_graph, edge_subgraph, linkage_classes, parse_egraph
 from crnlocus.equiv import (
     POWER_MAX_BITS,
-    balance_rows,
     d0_basis,
     d0_dimension,
     j0_basis,
@@ -49,6 +48,7 @@ from crnlocus.locus import PsiDomainError
 from capped import run_capped
 from fixture_graphs import g_cyc, g_in, g_k4, g_two_vertex
 from oracles import (
+    balance_rows,
     basis_pair_terms,
     d0_constraint_matrix,
     monolithic_jr_subspace,
@@ -865,8 +865,8 @@ class TestMaskScan:
         counting(cone, "positive_point", simplexes.append)
         for module in (exactla, equiv, locus):
             counting(module, "bareiss", lambda args: eliminations.append(args[1]))
-        for module, fname in ((equiv, "balance_rows"), (cone, "balance_rows"),
-                              (equiv, "embed_kernels"), (cone, "embed_kernels")):
+        for module, fname in ((equiv, "restrict_to_kernel"), (cone, "restrict_to_kernel"),
+                              (equiv, "embed_kernels")):
             counting(module, fname, edge_space.append)
         res = global_lower_bound(g)
         increases, best = 0, None

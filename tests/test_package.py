@@ -93,9 +93,9 @@ def test_every_import_is_used():
 
 BENCH = SRC.parents[1] / "perfbench"
 # The paper's cone subspace J~R, kept public for its users; the report
-# builds the same restriction of ``embed_kernels`` itself, from the local
-# kernels of its per-vertex decisions, and only for a nonempty cone with
-# cone rows: an empty cone's dimension is an integer rank.
+# calls ``restrict_to_kernel`` itself, on the local kernels of its
+# per-vertex decisions, and only for a nonempty cone with cone rows: an
+# empty cone's dimension is an integer rank.
 PUBLIC_WITHOUT_CALLER = {"jr_subspace"}
 
 
